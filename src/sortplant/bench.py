@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -22,7 +20,7 @@ from .config import ConfigError, EnvConfig, config_to_dict
 from .baselines import make_policy, run_policy
 from .demo import BENCH_SEED_LIMIT
 from .env import ContractViolation
-from .planners import BRUTE_FORCE_CAP, GaParams, GenStats, brute_force, ga_optimize, ga_seed_for_env
+from .planners import BRUTE_FORCE_CAP, GaParams, GenStats, brute_force, ga_optimize, ga_seed_for_env, parallel_map
 
 STRATEGIES = ("R", "RB", "BF", "GA")
 
@@ -94,23 +92,15 @@ def evaluate_strategy(
     raise ContractViolation(f"unknown strategy {strategy!r}")
 
 
-def _cell_worker(args: tuple[str, EnvConfig, int, int, GaParams]):
-    strategy, config, seed, horizon, ga_params = args
-    return evaluate_strategy(strategy, config, seed, horizon, ga_params)
-
-
 def run_bench(config: EnvConfig, spec: BenchSpec, workers: int = 1) -> BenchResult:
-    """Evaluate every (strategy, seed) cell; reduction order is fixed by
-    (strategy, seed), so worker count never changes the result."""
+    """Evaluate every (strategy, seed) cell through :func:`parallel_map`;
+    reduction order is fixed by (strategy, seed), so worker count never
+    changes the result."""
     if spec.horizon > config.episode_len:
         raise ContractViolation(f"horizon {spec.horizon} exceeds episode_len {config.episode_len}")
     seeds = tuple(sorted(spec.seeds))
     cells = [(strategy, config, seed, spec.horizon, spec.ga_params) for strategy in spec.strategies for seed in seeds]
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_cell_worker, cells))
-    else:
-        outcomes = [_cell_worker(cell) for cell in cells]
+    outcomes = parallel_map(evaluate_strategy, cells, workers)
 
     per_seed: dict[str, list[tuple[int, float]]] = {s: [] for s in spec.strategies}
     ga_generations: dict[int, tuple[GenStats, list[GenStats]]] = {}
@@ -229,13 +219,3 @@ def _write(path: Path, rows: list[str]) -> Path:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
 
-
-def mean_gap_exceeds_stderr(low: Sequence[float], high: Sequence[float]) -> bool:
-    """Paired comparison: does mean(high - low) exceed one standard error of
-    the per-seed differences?"""
-    if len(low) != len(high) or len(low) < 2:
-        raise ContractViolation("paired comparison needs two equal-length samples of size >= 2")
-    diffs = [h - l for l, h in zip(low, high)]
-    gap = statistics.fmean(diffs)
-    se = statistics.stdev(diffs) / math.sqrt(len(diffs))
-    return gap > se

@@ -3,7 +3,9 @@
 Subcommands: simulate, brute, ga, demo-gen, validate, bench, defaults.
 Exit codes: 0 success, 1 usage or config error, 2 validation failure,
 3 I/O error.  Progress goes to stderr; machine-readable results go to files
-or stdout.  The --workers flag changes wall time only, never any number.
+or stdout.  --workers N (N >= 1) spreads GA candidate chunks, BF code
+ranges, campaign seeds or bench cells over N processes through
+planners.parallel_map; it changes wall time only, never any number.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ below.  The resolved config is echoed into every output artifact.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -53,6 +54,13 @@ class EnvConfig:
         self._validate()
 
     def _validate(self) -> None:
+        # nan compares false against every bound below, and inf passes the
+        # one-sided ones, so reject non-finite floats before any range check
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.n_materials != 4:
             raise ConfigError("n_materials is fixed at 4 (materials A..D)")
         if self.n_presses != 2:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -18,7 +17,7 @@ from typing import Optional, Sequence, Union
 from .config import ConfigError, EnvConfig, config_from_mapping, config_to_dict
 from .env import OBS_SIZE, ContractViolation, InputTape
 from .baselines import make_policy, run_policy
-from .planners import GaParams, ga_optimize, ga_seed_for_env, rollout
+from .planners import GaParams, ga_optimize, ga_seed_for_env, parallel_map, rollout
 from .trajio import Transition, read_transitions, sha256_file, write_transitions
 
 MANIFEST_NAME = "manifest.json"
@@ -89,7 +88,6 @@ def generate_demo(
     env_seed: int,
     ga_params: GaParams,
     min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
-    workers: int = 1,
 ) -> Union[DemoTrajectory, Rejection]:
     """Optimize one environment seed and apply the acceptance filter.
 
@@ -101,7 +99,7 @@ def generate_demo(
     tape = InputTape(config, env_seed)
     baseline = run_policy(config, env_seed, make_policy("rule"), n, tape=tape)
     per_env = dataclasses.replace(ga_params, ga_seed=ga_seed_for_env(ga_params.ga_seed, env_seed))
-    ga = ga_optimize(config, env_seed, n, per_env, workers=workers)
+    ga = ga_optimize(config, env_seed, n, per_env)
     if not passes_filter(ga.best_reward, baseline.cumulative_reward, min_improvement):
         return Rejection(env_seed, ga.best_reward, baseline.cumulative_reward)
     total, transitions = rollout(config, env_seed, ga.best_sequence, tape)
@@ -110,11 +108,6 @@ def generate_demo(
             f"replay of seed {env_seed} returned {total!r}, optimizer saw {ga.best_reward!r}; determinism broken"
         )
     return DemoTrajectory(env_seed, ga.best_sequence, transitions, total, baseline.cumulative_reward)
-
-
-def _campaign_worker(args: tuple[EnvConfig, int, GaParams, float]) -> Union[DemoTrajectory, Rejection]:
-    config, env_seed, ga_params, min_improvement = args
-    return generate_demo(config, env_seed, ga_params, min_improvement)
 
 
 def run_campaign(
@@ -127,8 +120,9 @@ def run_campaign(
 ) -> DatasetManifest:
     """Generate, filter, and export demonstrations for every seed.
 
-    Per-seed work is independent and may run on a worker pool; files and the
-    manifest are written in ascending seed order, so reruns are byte-identical.
+    Each seed is one :func:`generate_demo` call through :func:`parallel_map`;
+    files and the manifest are written in ascending seed order, so reruns are
+    byte-identical whatever the worker count.
     """
     seeds = tuple(sorted(set(int(s) for s in seeds)))
     if len(seeds) == 0:
@@ -139,12 +133,7 @@ def run_campaign(
             f"seed(s) {bad[:5]} overlap the benchmark pool [0, {BENCH_SEED_LIMIT}); campaign seeds must be >= {BENCH_SEED_LIMIT}"
         )
 
-    jobs = [(config, s, ga_params, min_improvement) for s in seeds]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_campaign_worker, jobs))
-    else:
-        outcomes = [_campaign_worker(job) for job in jobs]
+    outcomes = parallel_map(generate_demo, [(config, s, ga_params, min_improvement) for s in seeds], workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,7 +192,8 @@ class ValidationReport:
 
 
 def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
-    """Re-check schema, digests, counts, the filter rule, and replay equality.
+    """Re-check schema, digests, counts, the seed index, the filter rule, and
+    replay equality.
 
     Replay re-simulates every accepted trajectory from (config, seed, action
     string) recorded in the manifest and compares rewards bit-exactly.
@@ -217,6 +207,8 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-unparseable", str(exc))])
+    if not isinstance(manifest, dict):
+        return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-unparseable", "manifest is not a JSON object")])
     if manifest.get("format_version") != MANIFEST_FORMAT:
         return ValidationReport(
             False,
@@ -228,9 +220,22 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
         return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-config", str(exc))])
     min_improvement = manifest.get("min_improvement", DEFAULT_MIN_IMPROVEMENT)
 
-    entries = manifest.get("trajectories", [])
+    entries = manifest.get("trajectories")
+    rejections = manifest.get("rejections")
+    if not _seeded_records(entries) or not _seeded_records(rejections):
+        return ValidationReport(
+            False,
+            [Violation(MANIFEST_NAME, "manifest-index", "trajectories and rejections must be lists of records with an integer seed")],
+        )
     if manifest.get("accepted_count") != len(entries):
         violations.append(Violation(MANIFEST_NAME, "manifest-index", "accepted_count does not match index length"))
+    if manifest.get("rejected_count") != len(rejections):
+        violations.append(Violation(MANIFEST_NAME, "manifest-index", "rejected_count does not match rejections length"))
+    recorded = [record["seed"] for record in entries + rejections]
+    if len(set(recorded)) != len(recorded):
+        violations.append(Violation(MANIFEST_NAME, "manifest-seeds", "a seed is recorded more than once"))
+    if manifest.get("seeds") != sorted(set(recorded)):
+        violations.append(Violation(MANIFEST_NAME, "manifest-seeds", "seeds does not list exactly the accepted and rejected seeds"))
 
     indexed_files = {entry.get("file") for entry in entries}
     for stray in sorted(p.name for p in directory.glob("traj_*.jsonl") if p.name not in indexed_files):
@@ -272,7 +277,7 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
         if any(tr.action != int(actions_str[i]) for i, tr in enumerate(transitions)):
             violations.append(Violation(name, "replay", "stored actions disagree with manifest action string"))
             continue
-        replay_total, replay_transitions = rollout(config, int(entry["seed"]), [int(b) for b in actions_str])
+        replay_total, replay_transitions = rollout(config, entry["seed"], [int(b) for b in actions_str])
         stored_total = sum(tr.reward for tr in transitions)
         if replay_total != ga_reward or stored_total != ga_reward:
             violations.append(
@@ -288,3 +293,8 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
                 violations.append(Violation(name, "replay", f"transition {i} reward mismatch"))
                 break
     return ValidationReport(not violations, violations)
+
+
+def _seeded_records(value: object) -> bool:
+    """A JSON list of objects, each carrying an integer ``seed``."""
+    return isinstance(value, list) and all(isinstance(r, dict) and type(r.get("seed")) is int for r in value)

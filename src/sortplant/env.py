@@ -158,8 +158,6 @@ class EnvState:
     last_action: Optional[int]
     last_realized_accuracies: list[float]
     generated_total: float
-    deposited_total: float
-    baled_total: float
     tape: InputTape
 
     def mass_balance(self) -> tuple[float, float]:
@@ -336,7 +334,6 @@ def update_containers_and_presses(state: EnvState, deposits: list[list[float]]) 
             bale = Bale(c, size, purity, t)
             new_bales.append(bale)
             state.bales.append(bale)
-            state.baled_total += size
             cont.contents = [0.0] * N_MATERIALS
             cont.pending = False
             press.busy_until = t + config.press_duration
@@ -459,8 +456,6 @@ def reset(config: EnvConfig, seed: int, tape: Optional[InputTape] = None) -> tup
         last_action=None,
         last_realized_accuracies=[config.baseline_accuracy] * N_MATERIALS,
         generated_total=sum(b.total for b in belt),
-        deposited_total=0.0,
-        baled_total=0.0,
         tape=tape,
     )
     return state, build_observation(state)
@@ -486,7 +481,6 @@ def advance(state: EnvState, action: int) -> tuple[float, list[Bale]]:
 
     head = state.belt.popleft()
     outcome = sort_batch(head, action, state.seed, t, config, tape.jitters(t))
-    state.deposited_total += head.total
     new_bales = update_containers_and_presses(state, outcome.deposits)
     reward = compute_reward(state.containers, config)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import EnvConfig
 from .env import ContractViolation, InputTape, advance, reset, step
@@ -128,32 +128,56 @@ def tournament_select(population: Sequence[Sequence[int]], fitnesses: Sequence[f
 
 
 # ---------------------------------------------------------------------------
-# fitness evaluation (serial or worker pool; bit-identical either way)
+# process fan-out (results never depend on the worker count)
 # ---------------------------------------------------------------------------
 
 
-def _eval_chunk(args: tuple[EnvConfig, int, list[tuple[int, ...]]]) -> list[float]:
-    config, seed, chunk = args
-    tape = InputTape(config, seed)
-    return [episode_reward(config, seed, bits, tape) for bits in chunk]
+def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
+    """``[fn(*job) for job in jobs]``, spread over up to ``workers`` processes.
+
+    One worker or fewer than two jobs run in this process; otherwise a pool of
+    ``min(workers, len(jobs))`` processes is opened and closed here.  Results
+    come back in job order either way.  ``fn`` and every job are pickled for
+    the pool, so ``fn`` must be a module-level function.
+    """
+    if workers < 1:
+        raise ContractViolation(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(jobs) < 2:
+        return [fn(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
+
+
+def _spans(total: int, parts: int) -> list[tuple[int, int]]:
+    """Cut range(total) into at most ``parts`` contiguous (start, stop) spans
+    whose sizes differ by at most one."""
+    parts = max(1, min(parts, total))
+    bounds = [total * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _score_chunk(tape: InputTape, chunk: list[tuple[int, ...]]) -> list[float]:
+    return [episode_reward(tape.config, tape.seed, bits, tape) for bits in chunk]
 
 
 class _FitnessOracle:
-    """Memoized frozen-seed fitness with optional process-pool evaluation.
+    """Memoized frozen-seed fitness, scored in chunks through parallel_map.
 
     Candidates are deduplicated in first-appearance order; results are merged
     back by position, so worker count never changes any number.
     """
 
-    def __init__(self, config: EnvConfig, seed: int, workers: int = 1) -> None:
-        self.config = config
-        self.seed = seed
-        self.workers = max(1, workers)
+    def __init__(self, config: EnvConfig, seed: int, n: int, workers: int = 1) -> None:
+        self.workers = workers
         self.tape = InputTape(config, seed)
+        if workers > 1:
+            # every chunk ships a pickled copy of the tape: fill it once here
+            # so no worker regenerates the inputs
+            episode_reward(config, seed, [0] * n, self.tape)
         self.cache: dict[tuple[int, ...], float] = {}
         self.evaluations = 0
 
-    def fitnesses(self, population: Sequence[Sequence[int]], pool: Optional[ProcessPoolExecutor] = None) -> list[float]:
+    def fitnesses(self, population: Sequence[Sequence[int]]) -> list[float]:
         todo: list[tuple[int, ...]] = []
         seen = set()
         for bits in population:
@@ -163,28 +187,11 @@ class _FitnessOracle:
                 todo.append(key)
         if todo:
             self.evaluations += len(todo)
-            if pool is not None and self.workers > 1 and len(todo) > 1:
-                chunks = _split_chunks(todo, self.workers * 4)
-                results = pool.map(_eval_chunk, [(self.config, self.seed, chunk) for chunk in chunks])
-                for chunk, values in zip(chunks, results):
-                    for key, value in zip(chunk, values):
-                        self.cache[key] = value
-            else:
-                for key in todo:
-                    self.cache[key] = episode_reward(self.config, self.seed, key, self.tape)
+            chunks = [todo[start:stop] for start, stop in _spans(len(todo), self.workers * 4)]
+            results = parallel_map(_score_chunk, [(self.tape, chunk) for chunk in chunks], self.workers)
+            for chunk, values in zip(chunks, results):
+                self.cache.update(zip(chunk, values))
         return [self.cache[tuple(bits)] for bits in population]
-
-
-def _split_chunks(items: list, n_chunks: int) -> list[list]:
-    n_chunks = max(1, min(n_chunks, len(items)))
-    size, extra = divmod(len(items), n_chunks)
-    chunks = []
-    start = 0
-    for i in range(n_chunks):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +207,20 @@ def brute_force(config: EnvConfig, seed: int, n: int, workers: int = 1) -> Brute
     if n > BRUTE_FORCE_CAP:
         raise ContractViolation(f"brute force refuses n > {BRUTE_FORCE_CAP} (2**{n} rollouts); use the GA instead")
     total = 1 << n
-    if workers > 1 and total >= 256:
-        bounds = _split_chunks(list(range(total)), workers * 4)
-        spans = [(config, seed, n, span[0], span[-1] + 1) for span in bounds if span]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_brute_span, spans))
-        best_code, best_reward = partials[0]
-        for code, reward in partials[1:]:
-            if reward > best_reward:
-                best_code, best_reward = code, reward
-    else:
-        best_code, best_reward = _brute_span((config, seed, n, 0, total))
+    tape = InputTape(config, seed)
+    # below 256 codes a pool costs more than the episodes it would share out
+    parts = workers * 4 if total >= 256 else 1
+    partials = parallel_map(_brute_span, [(tape, n, start, stop) for start, stop in _spans(total, parts)], workers)
+    # spans are merged in code order with a strict >, so ties keep the lowest code
+    best_code, best_reward = partials[0]
+    for code, reward in partials[1:]:
+        if reward > best_reward:
+            best_code, best_reward = code, reward
     return BruteForceResult(_code_to_bits(best_code, n), best_reward, total)
 
 
-def _brute_span(args: tuple[EnvConfig, int, int, int, int]) -> tuple[int, float]:
-    config, seed, n, start, stop = args
-    tape = InputTape(config, seed)
+def _brute_span(tape: InputTape, n: int, start: int, stop: int) -> tuple[int, float]:
+    config, seed = tape.config, tape.seed
     best_code = start
     best_reward = episode_reward(config, seed, _code_to_bits(start, n), tape)
     for code in range(start + 1, stop):
@@ -239,45 +243,41 @@ def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams, workers:
     per-bit mutation.  The breeding population carries no elite; the best
     candidate ever evaluated is archived separately and returned.  All
     stochastic choices come from one sequential stream seeded by ga_seed and
-    are drawn before fitness dispatch, so results are independent of worker
-    count.
+    are drawn before fitness dispatch.  Each generation's new candidates are
+    scored through :func:`parallel_map` (a pool per generation when
+    ``workers > 1``), so results are independent of worker count.
     """
     if n < 1:
         raise ContractViolation("horizon must be >= 1")
     rng = random.Random(params.ga_seed)
-    oracle = _FitnessOracle(config, seed, workers)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        population = [[rng.randrange(2) for _ in range(n)] for _ in range(params.population)]
-        fitnesses = oracle.fitnesses(population, pool)
-        best_idx = max(range(len(fitnesses)), key=lambda i: fitnesses[i])
-        best_bits = tuple(population[best_idx])
-        best_reward = fitnesses[best_idx]
-        initial_stats = _gen_stats(fitnesses)
+    oracle = _FitnessOracle(config, seed, n, workers)
+    population = [[rng.randrange(2) for _ in range(n)] for _ in range(params.population)]
+    fitnesses = oracle.fitnesses(population)
+    best_idx = max(range(len(fitnesses)), key=lambda i: fitnesses[i])
+    best_bits = tuple(population[best_idx])
+    best_reward = fitnesses[best_idx]
+    initial_stats = _gen_stats(fitnesses)
 
-        per_generation: list[GenStats] = []
-        for _ in range(params.generations):
-            children: list[list[int]] = []
-            while len(children) < params.population:
-                pa = population[tournament_select(population, fitnesses, rng)]
-                pb = population[tournament_select(population, fitnesses, rng)]
-                if n >= 2 and rng.random() < params.crossover_rate:
-                    cut = rng.randint(1, n - 1)
-                    ca, cb = crossover(pa, pb, cut)
-                else:
-                    ca, cb = list(pa), list(pb)
-                children.append(mutate(ca, params.mutation_rate, rng))
-                children.append(mutate(cb, params.mutation_rate, rng))
-            population = children[: params.population]
-            fitnesses = oracle.fitnesses(population, pool)
-            per_generation.append(_gen_stats(fitnesses))
-            gen_best = max(range(len(fitnesses)), key=lambda i: fitnesses[i])
-            if fitnesses[gen_best] > best_reward:
-                best_reward = fitnesses[gen_best]
-                best_bits = tuple(population[gen_best])
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    per_generation: list[GenStats] = []
+    for _ in range(params.generations):
+        children: list[list[int]] = []
+        while len(children) < params.population:
+            pa = population[tournament_select(population, fitnesses, rng)]
+            pb = population[tournament_select(population, fitnesses, rng)]
+            if n >= 2 and rng.random() < params.crossover_rate:
+                cut = rng.randint(1, n - 1)
+                ca, cb = crossover(pa, pb, cut)
+            else:
+                ca, cb = list(pa), list(pb)
+            children.append(mutate(ca, params.mutation_rate, rng))
+            children.append(mutate(cb, params.mutation_rate, rng))
+        population = children[: params.population]
+        fitnesses = oracle.fitnesses(population)
+        per_generation.append(_gen_stats(fitnesses))
+        gen_best = max(range(len(fitnesses)), key=lambda i: fitnesses[i])
+        if fitnesses[gen_best] > best_reward:
+            best_reward = fitnesses[gen_best]
+            best_bits = tuple(population[gen_best])
     return GaResult(best_bits, best_reward, initial_stats, per_generation, oracle.evaluations)
 
 

@@ -141,3 +141,21 @@ def test_bench_subcommand(tmp_path, capsys):
 
 def test_bench_rejects_campaign_seeds(tmp_path):
     assert main(["bench", "--strategies", "R", "--seeds", "1000..1002", "--len", "5", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brute", "--seed", "1", "--len", "3"],
+        ["ga", "--seed", "1", "--len", "4", "--pop", "4", "--gens", "1"],
+        ["demo-gen", "--seeds", "1000", "--pop", "4", "--gens", "1", "--out", "{tmp}"],
+        ["bench", "--strategies", "R", "--seeds", "0", "--len", "3", "--out", "{tmp}"],
+    ],
+    ids=["brute", "ga", "demo-gen", "bench"],
+)
+def test_workers_below_one_is_usage_error(argv, workers, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path / "out") for arg in argv]
+    assert main(argv + ["--workers", workers]) == 1
+    assert "error: workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -42,6 +42,19 @@ def test_defaults_are_the_documented_values():
         {"n_presses": 1},
         {"seasonal_period": 0},
         {"belt_delay": -1},
+        # one non-finite value per float field
+        {"purity_thresholds": (0.85, 0.80, float("nan"), 0.70)},
+        {"penalty_factor": float("nan")},
+        {"baseline_accuracy": float("nan")},
+        {"boost_noise": float("inf")},
+        {"degradation_coeff": float("nan")},
+        {"accuracy_jitter": float("nan")},
+        {"contamination_coeff": float("-inf")},
+        {"batch_min": float("-inf")},
+        {"batch_max": float("inf")},
+        {"seasonal_amplitude": float("inf")},
+        {"pressing_threshold": float("nan")},
+        {"container_capacity": float("inf")},
     ],
 )
 def test_invariant_violations_raise(kwargs):
@@ -85,6 +98,14 @@ def test_type_errors_rejected():
         config_from_mapping({"batch_max": "big"})
     with pytest.raises(ConfigError):
         config_from_mapping({"purity_thresholds": 0.8})
+
+
+def test_yaml_non_finite_values_rejected(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    for text in ("penalty_factor: .nan\n", "batch_max: .inf\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
 
 
 def test_echo_round_trips():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sortplant.cli import main
 from sortplant.config import EnvConfig
 from sortplant.env import ContractViolation, OBS_SIZE
 from sortplant.demo import (
@@ -82,6 +83,15 @@ def test_campaign_is_rerunnable_byte_identical(campaign, tmp_path):
         assert (again / path.name).read_bytes() == path.read_bytes()
 
 
+def test_campaign_is_independent_of_worker_count(campaign, tmp_path):
+    out, _ = campaign  # written with workers=1
+    pooled = tmp_path / "pooled"
+    run_campaign(SMALL_CFG, range(1000, 1006), SMALL_GA, out_dir=pooled, workers=2)
+    assert sorted(p.name for p in pooled.iterdir()) == sorted(p.name for p in out.iterdir())
+    for path in sorted(out.iterdir()):
+        assert (pooled / path.name).read_bytes() == path.read_bytes()
+
+
 def test_campaign_rejects_benchmark_seeds():
     with pytest.raises(ContractViolation):
         run_campaign(SMALL_CFG, [999, 1000], SMALL_GA, out_dir="unused")
@@ -152,3 +162,42 @@ def test_validate_missing_manifest(tmp_path):
     report = validate_dataset(tmp_path)
     assert not report.ok
     assert report.violations[0].rule == "manifest-missing"
+
+
+def _duplicate_first_trajectory(doc):
+    doc["trajectories"].append(dict(doc["trajectories"][0]))
+    doc["accepted_count"] += 1
+    return doc
+
+
+def _drop_first_seed(doc):
+    del doc["trajectories"][0]["seed"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "tamper, rule, detail",
+    [
+        (lambda doc: [doc], "manifest-unparseable", "not a JSON object"),
+        (_drop_first_seed, "manifest-index", "integer seed"),
+        (lambda doc: {**doc, "trajectories": None}, "manifest-index", "integer seed"),
+        (lambda doc: {**doc, "rejected_count": doc["rejected_count"] + 1}, "manifest-index", "rejected_count"),
+        (lambda doc: {**doc, "seeds": doc["seeds"][1:]}, "manifest-seeds", "exactly the accepted and rejected"),
+        (_duplicate_first_trajectory, "manifest-seeds", "more than once"),
+    ],
+    ids=["not-an-object", "entry-without-seed", "null-trajectories", "rejected-count", "seeds-list", "duplicate-seed"],
+)
+def test_validate_reports_manifest_tamper(campaign, tmp_path, capsys, tamper, rule, detail):
+    out, manifest = campaign
+    assert manifest.accepted, "campaign produced no accepted trajectories to tamper with"
+    copy = tmp_path / "tampered"
+    copy.mkdir()
+    for path in out.iterdir():
+        (copy / path.name).write_bytes(path.read_bytes())
+    doc = tamper(json.loads((copy / "manifest.json").read_text()))
+    (copy / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+
+    report = validate_dataset(copy)
+    assert not report.ok
+    assert any(v.rule == rule and detail in v.detail for v in report.violations), report.format()
+    assert main(["validate", str(copy)]) == 2
