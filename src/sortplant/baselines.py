@@ -38,7 +38,9 @@ def make_policy(name: str, policy_seed: Optional[int] = None) -> Policy:
         seed = policy_seed
         return lambda state: random_policy(seed, state.t)
     if name == "rule":
-        return lambda state: rule_based_policy(state.belt[0])
+        # the batch sorted at step t was generated belt_delay steps earlier;
+        # with no delay it is not on the belt before the step
+        return lambda state: rule_based_policy(state.tape.batch(state.t - state.config.belt_delay))
     raise ContractViolation(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
 
 

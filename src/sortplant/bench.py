@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from .config import ConfigError, EnvConfig, config_to_dict
 from .baselines import make_policy, run_policy
 from .demo import BENCH_SEED_LIMIT
-from .env import ContractViolation
+from .env import ContractViolation, purity_reward
 from .planners import BRUTE_FORCE_CAP, GaParams, GenStats, brute_force, ga_optimize, ga_seed_for_env, parallel_map
 
 STRATEGIES = ("R", "RB", "BF", "GA")
@@ -152,7 +152,7 @@ def reward_curve_samples(config: EnvConfig, lo: float = -0.25, hi: float = 0.25,
     samples = []
     for i in range(steps + 1):
         d = lo + (hi - lo) * i / steps
-        samples.append((d, d if d >= 0.0 else config.penalty_factor * d))
+        samples.append((d, purity_reward(d, config.penalty_factor)))
     return samples
 
 

@@ -104,6 +104,8 @@ _INT_FIELDS = frozenset(
 
 def config_from_mapping(raw: dict[str, Any]) -> EnvConfig:
     """Build a validated config from a plain mapping (config file contents)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a key/value mapping, got {type(raw).__name__}")
     known = {f.name for f in dataclasses.fields(EnvConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:

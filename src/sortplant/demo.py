@@ -66,14 +66,7 @@ class DatasetManifest:
         return {
             "format_version": MANIFEST_FORMAT,
             "config": config_to_dict(self.config),
-            "ga_params": {
-                "population": self.ga_params.population,
-                "generations": self.ga_params.generations,
-                "crossover_rate": self.ga_params.crossover_rate,
-                "mutation_rate": self.ga_params.mutation_rate,
-                "tournament_size": self.ga_params.tournament_size,
-                "ga_seed": self.ga_params.ga_seed,
-            },
+            "ga_params": dataclasses.asdict(self.ga_params),
             "min_improvement": self.min_improvement,
             "seeds": list(self.seeds),
             "accepted_count": len(self.accepted),
@@ -219,6 +212,10 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
     except (KeyError, ConfigError) as exc:
         return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-config", str(exc))])
     min_improvement = manifest.get("min_improvement", DEFAULT_MIN_IMPROVEMENT)
+    if isinstance(min_improvement, bool) or not isinstance(min_improvement, (int, float)):
+        return ValidationReport(
+            False, [Violation(MANIFEST_NAME, "manifest-config", f"min_improvement must be a number, got {min_improvement!r}")]
+        )
 
     entries = manifest.get("trajectories")
     rejections = manifest.get("rejections")
@@ -237,12 +234,15 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
     if manifest.get("seeds") != sorted(set(recorded)):
         violations.append(Violation(MANIFEST_NAME, "manifest-seeds", "seeds does not list exactly the accepted and rejected seeds"))
 
-    indexed_files = {entry.get("file") for entry in entries}
+    indexed_files = {entry.get("file") for entry in entries if isinstance(entry.get("file"), str)}
     for stray in sorted(p.name for p in directory.glob("traj_*.jsonl") if p.name not in indexed_files):
         violations.append(Violation(stray, "manifest-index", "data file present but not indexed"))
 
     for entry in entries:
         name = entry.get("file", "<missing file name>")
+        if not isinstance(name, str):
+            violations.append(Violation(MANIFEST_NAME, "manifest-index", f"seed {entry['seed']}: file name must be a string, got {name!r}"))
+            continue
         path = directory / name
         if not path.is_file():
             violations.append(Violation(name, "manifest-index", "indexed file missing from disk"))
@@ -271,7 +271,7 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
         if not passes_filter(ga_reward, rb_reward, min_improvement):
             violations.append(Violation(name, "filter", f"ga {ga_reward} vs baseline {rb_reward} fails the margin rule"))
         actions_str = entry.get("actions", "")
-        if not set(actions_str) <= {"0", "1"} or len(actions_str) != config.episode_len:
+        if not isinstance(actions_str, str) or not set(actions_str) <= {"0", "1"} or len(actions_str) != config.episode_len:
             violations.append(Violation(name, "manifest-index", "actions string malformed"))
             continue
         if any(tr.action != int(actions_str[i]) for i, tr in enumerate(transitions)):

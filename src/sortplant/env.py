@@ -61,10 +61,13 @@ class Container:
 
     ``contents[j]`` is the amount of true material j inside; the designated
     material of container m is m itself (container E has none).
+    ``pending_since`` is the step at which the container crossed
+    pressing_threshold and began waiting for a press, or None when it is not
+    waiting.  It is the only record of the press queue.
     """
 
     contents: list[float] = field(default_factory=lambda: [0.0] * N_MATERIALS)
-    pending: bool = False
+    pending_since: Optional[int] = None
 
     @property
     def total(self) -> float:
@@ -75,9 +78,6 @@ class Container:
 @dataclass
 class Press:
     busy_until: int = 0
-
-    def idle_at(self, t: int) -> bool:
-        return self.busy_until <= t
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,11 @@ class EnvState:
     """The single mutable simulation object for one episode."""
 
     config: EnvConfig
-    seed: int
     t: int
     belt: deque[MaterialBatch]
     containers: list[Container]
     presses: list[Press]
     bales: list[Bale]
-    press_queue: deque[tuple[int, int]]  # (crossed_at, container index), FIFO
     last_action: Optional[int]
     last_realized_accuracies: list[float]
     generated_total: float
@@ -216,12 +214,7 @@ def effective_accuracy(mode: int, material: int, load_fraction: float, config: E
 
 
 def sort_batch(
-    batch: MaterialBatch,
-    mode: int,
-    seed: int,
-    t: int,
-    config: EnvConfig,
-    jitters: Optional[tuple[float, float, float, float]] = None,
+    batch: MaterialBatch, mode: int, config: EnvConfig, jitters: tuple[float, float, float, float]
 ) -> SortOutcome:
     """Run one batch through the four stations in order A, B, C, D.
 
@@ -238,13 +231,9 @@ def sort_batch(
     most, which is what gives the majority-pair heuristic its edge over
     random play.
 
-    ``jitters`` injects the per-station accuracy jitter; when omitted it is
-    drawn from the jitter stream at (seed, t).
+    ``jitters`` is the per-station accuracy jitter; in an episode it is
+    ``InputTape.jitters(t)``, the one place the jitter stream is drawn.
     """
-    if jitters is None:
-        half = config.accuracy_jitter
-        jitters = tuple((2.0 * noise_draw(seed, Stream.JITTER, t, m) - 1.0) * half for m in range(N_MATERIALS))
-
     load = batch.total / config.batch_max
     if load > 1.0:
         load = 1.0
@@ -281,13 +270,15 @@ def sort_batch(
 
 
 def update_containers_and_presses(state: EnvState, deposits: list[list[float]]) -> list[Bale]:
-    """Deposit sorted flows, queue threshold crossings, run idle presses.
+    """Deposit sorted flows, mark threshold crossings, run idle presses.
 
     Containers A-D are capped at container_capacity; whatever does not fit
     diverts to container E (split proportionally across the deposit's true
-    materials).  Containers crossing pressing_threshold queue FIFO by
-    crossing step, ties broken by container index; an assignment empties the
-    container into a bale and occupies the press for press_duration steps.
+    materials).  A container crossing pressing_threshold records the step in
+    ``pending_since`` and waits.  Waiting containers are served in order of
+    (pending_since, container index), each idle press taking at most one per
+    step; an assignment empties the container into a bale and occupies the
+    press for press_duration steps.
     """
     config = state.config
     t = state.t
@@ -316,18 +307,20 @@ def update_containers_and_presses(state: EnvState, deposits: list[list[float]]) 
     for j in range(N_MATERIALS):
         e_contents[j] += dep_e[j]
 
+    waiting: list[tuple[int, int]] = []  # (pending_since, container index)
     for c in range(N_CONTAINERS):
         cont = containers[c]
-        if not cont.pending and cont.total >= config.pressing_threshold:
-            cont.pending = True
-            state.press_queue.append((t, c))
+        if cont.pending_since is None:
+            if cont.total < config.pressing_threshold:
+                continue
+            cont.pending_since = t
+        waiting.append((cont.pending_since, c))
 
     new_bales: list[Bale] = []
-    if state.press_queue:
+    if waiting:
         idle = [p for p in state.presses if p.busy_until <= t]
-        while state.press_queue and idle:
-            _, c = state.press_queue.popleft()
-            press = idle.pop(0)
+        waiting.sort()
+        for (_, c), press in zip(waiting, idle):
             cont = containers[c]
             size = cont.total
             purity = cont.contents[c] / size if c != CONTAINER_E else 0.0
@@ -335,17 +328,21 @@ def update_containers_and_presses(state: EnvState, deposits: list[list[float]]) 
             new_bales.append(bale)
             state.bales.append(bale)
             cont.contents = [0.0] * N_MATERIALS
-            cont.pending = False
+            cont.pending_since = None
             press.busy_until = t + config.press_duration
     return new_bales
 
 
-def compute_reward(containers: list[Container], config: EnvConfig) -> float:
-    """Sum of purity deviations over the nonempty designated containers.
+def purity_reward(deviation: float, penalty_factor: float) -> float:
+    """The per-container reward law: a deviation d of purity above the
+    material's threshold earns d; one below it costs penalty_factor * d."""
+    return deviation if deviation >= 0.0 else penalty_factor * deviation
 
-    A deviation of d above the material's threshold earns d; a deviation
-    below it costs penalty_factor * d.  Empty containers and container E
-    contribute nothing.
+
+def compute_reward(containers: list[Container], config: EnvConfig) -> float:
+    """Sum of :func:`purity_reward` over the nonempty designated containers.
+
+    Empty containers and container E contribute nothing.
     """
     thresholds = config.purity_thresholds
     penalty = config.penalty_factor
@@ -355,8 +352,7 @@ def compute_reward(containers: list[Container], config: EnvConfig) -> float:
         total = contents[0] + contents[1] + contents[2] + contents[3]
         if total <= 0.0:
             continue
-        dev = contents[m] / total - thresholds[m]
-        reward += dev if dev >= 0.0 else penalty * dev
+        reward += purity_reward(contents[m] / total - thresholds[m], penalty)
     return reward
 
 
@@ -446,13 +442,11 @@ def reset(config: EnvConfig, seed: int, tape: Optional[InputTape] = None) -> tup
     belt = deque(tape.batch(t) for t in range(-config.belt_delay, 0))
     state = EnvState(
         config=config,
-        seed=seed,
         t=0,
         belt=belt,
         containers=[Container() for _ in range(N_CONTAINERS)],
         presses=[Press() for _ in range(config.n_presses)],
         bales=[],
-        press_queue=deque(),
         last_action=None,
         last_realized_accuracies=[config.baseline_accuracy] * N_MATERIALS,
         generated_total=sum(b.total for b in belt),
@@ -480,7 +474,7 @@ def advance(state: EnvState, action: int) -> tuple[float, list[Bale]]:
     state.generated_total += new_batch.total
 
     head = state.belt.popleft()
-    outcome = sort_batch(head, action, state.seed, t, config, tape.jitters(t))
+    outcome = sort_batch(head, action, config, tape.jitters(t))
     new_bales = update_containers_and_presses(state, outcome.deposits)
     reward = compute_reward(state.containers, config)
 
@@ -499,9 +493,5 @@ def step(state: EnvState, action: int) -> StepResult:
     reward, new_bales = advance(state, action)
     truncated = state.t == state.config.episode_len
     observation = build_observation(state)
-    info = {
-        "new_bales": new_bales,
-        "accuracies": list(state.last_realized_accuracies),
-        "pending_presses": [c for _, c in state.press_queue],
-    }
+    info = {"new_bales": new_bales, "accuracies": list(state.last_realized_accuracies)}
     return StepResult(observation, reward, False, truncated, info)

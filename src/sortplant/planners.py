@@ -13,8 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .baselines import run_policy
 from .config import EnvConfig
-from .env import ContractViolation, InputTape, advance, reset, step
+from .env import ContractViolation, InputTape, advance, reset
 from .rng import derive_seed
 from .trajio import Transition
 
@@ -77,16 +78,10 @@ def episode_reward(config: EnvConfig, seed: int, actions: Sequence[int], tape: O
 def rollout(
     config: EnvConfig, seed: int, actions: Sequence[int], tape: Optional[InputTape] = None
 ) -> tuple[float, list[Transition]]:
-    """Apply an action sequence from a fresh reset and materialize transitions."""
-    state, obs = reset(config, seed, tape)
-    transitions: list[Transition] = []
-    total = 0.0
-    for action in actions:
-        result = step(state, action)
-        transitions.append(Transition(obs, action, result.reward, result.observation, result.truncated))
-        total += result.reward
-        obs = result.observation
-    return total, transitions
+    """Apply an action sequence from a fresh reset and materialize transitions:
+    :func:`run_policy` under the scripted policy ``actions[t]``."""
+    run = run_policy(config, seed, lambda state: actions[state.t], len(actions), keep_transitions=True, tape=tape)
+    return run.cumulative_reward, run.transitions
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
-from sortplant.env import ContractViolation, MaterialBatch, reset
+from sortplant.env import ContractViolation, MaterialBatch, advance, generate_input, reset
 from sortplant.baselines import make_policy, random_policy, rule_based_policy, run_policy
 
 CFG = EnvConfig()
@@ -53,6 +53,21 @@ def test_rule_reads_only_the_head_batch():
     state, _ = reset(CFG, 6)
     expected = rule_based_policy(state.belt[0])
     assert make_policy("rule")(state) == expected
+
+
+@pytest.mark.parametrize("belt_delay", [0, 1, 2, 5])
+def test_rule_policy_matches_advance_path_at_any_belt_delay(belt_delay):
+    # with no delay the head batch is generated on the step itself, so it is
+    # not on the belt when the policy reads the state
+    cfg = EnvConfig(belt_delay=belt_delay, episode_len=40)
+    run = run_policy(cfg, 9, make_policy("rule"), 40)
+    state, _ = reset(cfg, 9)
+    actions, total = [], 0.0
+    for t in range(40):
+        actions.append(rule_based_policy(generate_input(cfg, 9, t - belt_delay)))
+        total += advance(state, actions[-1])[0]
+    assert run.actions == actions
+    assert run.cumulative_reward == total
 
 
 def test_make_policy_validation():

@@ -139,6 +139,14 @@ def test_bench_subcommand(tmp_path, capsys):
     assert (out / "per_seed.csv").exists() and (out / "summary.csv").exists()
 
 
+def test_bench_rule_baseline_without_belt_delay(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("belt_delay: 0\n")
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--strategies", "RB", "--seeds", "0..2", "--len", "10", "--out", str(out)]) == 0
+    assert (out / "per_seed.csv").read_text().count("\nRB,") == 2
+
+
 def test_bench_rejects_campaign_seeds(tmp_path):
     assert main(["bench", "--strategies", "R", "--seeds", "1000..1002", "--len", "5", "--out", str(tmp_path)]) == 1
 

@@ -175,6 +175,14 @@ def _drop_first_seed(doc):
     return doc
 
 
+def _set_in_first_trajectory(key, value):
+    def tamper(doc):
+        doc["trajectories"][0][key] = value
+        return doc
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper, rule, detail",
     [
@@ -184,8 +192,25 @@ def _drop_first_seed(doc):
         (lambda doc: {**doc, "rejected_count": doc["rejected_count"] + 1}, "manifest-index", "rejected_count"),
         (lambda doc: {**doc, "seeds": doc["seeds"][1:]}, "manifest-seeds", "exactly the accepted and rejected"),
         (_duplicate_first_trajectory, "manifest-seeds", "more than once"),
+        (lambda doc: {**doc, "config": []}, "manifest-config", "key/value mapping"),
+        (_set_in_first_trajectory("file", 5), "manifest-index", "file name must be a string"),
+        (_set_in_first_trajectory("file", [1]), "manifest-index", "file name must be a string"),
+        (lambda doc: {**doc, "min_improvement": "x"}, "manifest-config", "min_improvement must be a number"),
+        (_set_in_first_trajectory("actions", 5), "manifest-index", "actions string malformed"),
     ],
-    ids=["not-an-object", "entry-without-seed", "null-trajectories", "rejected-count", "seeds-list", "duplicate-seed"],
+    ids=[
+        "not-an-object",
+        "entry-without-seed",
+        "null-trajectories",
+        "rejected-count",
+        "seeds-list",
+        "duplicate-seed",
+        "config-not-object",
+        "file-not-string",
+        "file-unhashable",
+        "min-improvement-not-number",
+        "actions-not-string",
+    ],
 )
 def test_validate_reports_manifest_tamper(campaign, tmp_path, capsys, tamper, rule, detail):
     out, manifest = campaign

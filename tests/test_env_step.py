@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
 from sortplant.env import ContractViolation, InputTape, advance, reset, step
@@ -135,11 +137,48 @@ def test_invalid_action_rejected():
         step(state, 2)
 
 
-def test_mass_ledger_balances_every_step():
-    rng = random.Random(8)
-    state, _ = reset(CFG, 77)
-    for _ in range(CFG.episode_len):
-        step(state, rng.randrange(2))
+LEDGER_LEN = 60
+
+
+def _coin_flips(seed: int, n: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(2) for _ in range(n)]
+
+
+# capacity ratio 1.0 is the overflow regime (every crossing container is full),
+# a long press_duration saturates both presses, belt_delay 0 sorts each batch
+# on the step that generates it
+ledger_configs = st.builds(
+    lambda threshold, capacity_ratio, press_duration, belt_delay: EnvConfig(
+        episode_len=LEDGER_LEN,
+        pressing_threshold=threshold,
+        container_capacity=threshold * capacity_ratio,
+        press_duration=press_duration,
+        belt_delay=belt_delay,
+    ),
+    threshold=st.floats(20.0, 400.0),
+    capacity_ratio=st.just(1.0) | st.floats(1.0, 2.0),
+    press_duration=st.sampled_from([0, 40]) | st.integers(0, LEDGER_LEN),
+    belt_delay=st.just(0) | st.integers(0, 5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cfg=ledger_configs,
+    seed=st.integers(0, 2**32),
+    actions=st.lists(st.integers(0, 1), min_size=LEDGER_LEN, max_size=LEDGER_LEN),
+)
+@example(cfg=CFG, seed=77, actions=_coin_flips(8, CFG.episode_len))
+@example(
+    cfg=EnvConfig(episode_len=LEDGER_LEN, container_capacity=200.0, press_duration=40, belt_delay=0),
+    seed=3,
+    actions=[t % 2 for t in range(LEDGER_LEN)],
+)
+def test_mass_ledger_balances_every_step(cfg, seed, actions):
+    state, _ = reset(cfg, seed)
+    for action in actions:
+        step(state, action)
         generated, accounted = state.mass_balance()
         assert abs(generated - accounted) / generated <= 1e-9
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
-from sortplant.env import MaterialBatch, effective_accuracy, sort_batch
+from sortplant.env import InputTape, MaterialBatch, effective_accuracy, sort_batch
 
 NO_JITTER = (0.0, 0.0, 0.0, 0.0)
 
@@ -40,7 +40,7 @@ def trace_sort(quantities, mode, config, jitters=NO_JITTER):
 
 
 def test_empty_batch_gives_zero_deposits():
-    out = sort_batch(make_batch([0, 0, 0, 0]), 0, 1, 0, EnvConfig(), NO_JITTER)
+    out = sort_batch(make_batch([0, 0, 0, 0]), 0, EnvConfig(), NO_JITTER)
     assert all(v == 0.0 for row in out.deposits for v in row)
 
 
@@ -48,7 +48,7 @@ def test_single_material_hand_trace():
     # pure-A batch, boosted station, no jitter, degradation off: the one
     # station that processes anything captures 98% and has no foreign pool
     cfg = EnvConfig(degradation_coeff=0.0)
-    out = sort_batch(make_batch([10, 0, 0, 0]), 0, 1, 0, cfg, NO_JITTER)
+    out = sort_batch(make_batch([10, 0, 0, 0]), 0, cfg, NO_JITTER)
     dep = out.deposits
     assert dep[0][0] == pytest.approx(9.8, rel=1e-12)
     assert sum(dep[0]) == pytest.approx(9.8, rel=1e-12)  # container A is pure
@@ -61,7 +61,7 @@ def test_single_material_hand_trace():
 def test_mixed_batch_matches_independent_trace():
     cfg = EnvConfig(degradation_coeff=0.0)
     q = [10.0, 20.0, 0.0, 5.0]
-    out = sort_batch(make_batch(q), 0, 1, 0, cfg, NO_JITTER)
+    out = sort_batch(make_batch(q), 0, cfg, NO_JITTER)
     expected = trace_sort(q, 0, cfg)
     for c in range(5):
         assert out.deposits[c] == pytest.approx(expected[c], rel=1e-12, abs=1e-15)
@@ -76,7 +76,7 @@ def test_deposit_purity_tracks_station_accuracy():
     # with a large enough foreign pool, purity of a station's deposit is
     # a / (a + (1-a)*kappa) regardless of composition
     cfg = EnvConfig(degradation_coeff=0.0)
-    out = sort_batch(make_batch([10.0, 30.0, 30.0, 30.0]), 1, 1, 0, cfg, NO_JITTER)
+    out = sort_batch(make_batch([10.0, 30.0, 30.0, 30.0]), 1, cfg, NO_JITTER)
     row = out.deposits[0]  # station A unboosted in mode 1
     purity = row[0] / sum(row)
     assert purity == pytest.approx(0.80 / (0.80 + 0.20 * cfg.contamination_coeff), rel=1e-12)
@@ -84,7 +84,7 @@ def test_deposit_purity_tracks_station_accuracy():
 
 def test_contamination_off_means_pure_containers():
     cfg = EnvConfig(contamination_coeff=0.0)
-    out = sort_batch(make_batch([12, 7, 3, 9]), 1, 5, 2, cfg)
+    out = sort_batch(make_batch([12, 7, 3, 9]), 1, cfg, InputTape(cfg, 5).jitters(2))
     for c in range(4):
         for j in range(4):
             if j != c:
@@ -94,9 +94,9 @@ def test_contamination_off_means_pure_containers():
 
 def test_jitter_draws_come_from_the_jitter_stream():
     cfg = EnvConfig()
-    a = sort_batch(make_batch([10, 10, 10, 10]), 0, 1, 0, cfg)
-    b = sort_batch(make_batch([10, 10, 10, 10]), 0, 1, 0, cfg)
-    c = sort_batch(make_batch([10, 10, 10, 10]), 0, 1, 1, cfg)
+    a = sort_batch(make_batch([10, 10, 10, 10]), 0, cfg, InputTape(cfg, 1).jitters(0))
+    b = sort_batch(make_batch([10, 10, 10, 10]), 0, cfg, InputTape(cfg, 1).jitters(0))
+    c = sort_batch(make_batch([10, 10, 10, 10]), 0, cfg, InputTape(cfg, 1).jitters(1))
     assert a.accuracies == b.accuracies
     assert a.accuracies != c.accuracies
 
@@ -113,7 +113,7 @@ quantity = st.floats(min_value=0.0, max_value=5_000.0, allow_nan=False, allow_in
 )
 def test_mass_conserved_and_deposits_nonnegative(q, mode, seed, t):
     cfg = EnvConfig(batch_max=5_000.0, batch_min=0.0)
-    out = sort_batch(make_batch(q), mode, seed, t, cfg)
+    out = sort_batch(make_batch(q), mode, cfg, InputTape(cfg, seed).jitters(t))
     total_in = sum(q)
     total_out = sum(sum(row) for row in out.deposits)
     assert total_out == pytest.approx(total_in, rel=1e-9, abs=1e-9)
@@ -124,7 +124,7 @@ def test_mass_conserved_and_deposits_nonnegative(q, mode, seed, t):
 @given(q=st.lists(quantity, min_size=4, max_size=4), mode=st.integers(0, 1))
 def test_flows_match_independent_trace(q, mode):
     cfg = EnvConfig(batch_max=5_000.0, batch_min=0.0)
-    out = sort_batch(make_batch(q), mode, 1, 0, cfg, NO_JITTER)
+    out = sort_batch(make_batch(q), mode, cfg, NO_JITTER)
     expected = trace_sort(q, mode, cfg)
     for c in range(5):
         assert out.deposits[c] == pytest.approx(expected[c], rel=1e-12, abs=1e-12)
