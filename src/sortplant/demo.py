@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -185,8 +186,8 @@ class ValidationReport:
 
 
 def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
-    """Re-check schema, digests, counts, the seed index, the filter rule, and
-    replay equality.
+    """Re-check schema, digests, counts, the seed index, the filter rule (every
+    accepted record passes it, every rejection fails it), and replay equality.
 
     Replay re-simulates every accepted trajectory from (config, seed, action
     string) recorded in the manifest and compares rewards bit-exactly.
@@ -212,7 +213,7 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
     except (KeyError, ConfigError) as exc:
         return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-config", str(exc))])
     min_improvement = manifest.get("min_improvement", DEFAULT_MIN_IMPROVEMENT)
-    if isinstance(min_improvement, bool) or not isinstance(min_improvement, (int, float)):
+    if not _is_finite_number(min_improvement):
         return ValidationReport(
             False, [Violation(MANIFEST_NAME, "manifest-config", f"min_improvement must be a number, got {min_improvement!r}")]
         )
@@ -233,6 +234,14 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
         violations.append(Violation(MANIFEST_NAME, "manifest-seeds", "a seed is recorded more than once"))
     if manifest.get("seeds") != sorted(set(recorded)):
         violations.append(Violation(MANIFEST_NAME, "manifest-seeds", "seeds does not list exactly the accepted and rejected seeds"))
+    for record in rejections:
+        seed, ga_reward, rb_reward = record["seed"], record.get("ga_reward"), record.get("baseline_reward")
+        if not (_is_finite_number(ga_reward) and _is_finite_number(rb_reward)):
+            detail = f"rejected seed {seed}: ga_reward/baseline_reward missing or not finite"
+            violations.append(Violation(MANIFEST_NAME, "manifest-index", detail))
+        elif passes_filter(ga_reward, rb_reward, min_improvement):
+            detail = f"rejected seed {seed}: ga {ga_reward} vs baseline {rb_reward} passes the margin rule"
+            violations.append(Violation(MANIFEST_NAME, "filter", detail))
 
     indexed_files = {entry.get("file") for entry in entries if isinstance(entry.get("file"), str)}
     for stray in sorted(p.name for p in directory.glob("traj_*.jsonl") if p.name not in indexed_files):
@@ -265,8 +274,8 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
             violations.append(Violation(name, "schema", "truncated flag must be set on exactly the final transition"))
         ga_reward = entry.get("ga_reward")
         rb_reward = entry.get("baseline_reward")
-        if not isinstance(ga_reward, (int, float)) or not isinstance(rb_reward, (int, float)):
-            violations.append(Violation(name, "manifest-index", "missing ga_reward/baseline_reward"))
+        if not (_is_finite_number(ga_reward) and _is_finite_number(rb_reward)):
+            violations.append(Violation(name, "manifest-index", "ga_reward/baseline_reward missing or not finite"))
             continue
         if not passes_filter(ga_reward, rb_reward, min_improvement):
             violations.append(Violation(name, "filter", f"ga {ga_reward} vs baseline {rb_reward} fails the margin rule"))
@@ -298,3 +307,8 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
 def _seeded_records(value: object) -> bool:
     """A JSON list of objects, each carrying an integer ``seed``."""
     return isinstance(value, list) and all(isinstance(r, dict) and type(r.get("seed")) is int for r in value)
+
+
+def _is_finite_number(value: object) -> bool:
+    """A JSON number other than a boolean, NaN or an infinity."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)

@@ -6,17 +6,17 @@ Every stochastic input comes from a counter-based draw keyed by the step index
 actions were taken; planners exploit this by re-rolling the same seed under
 many candidate sequences.
 
-Per step, in order: a new batch is generated and enqueued on the belt tail;
-the head batch (generated ``belt_delay`` steps earlier) is sorted under the
-chosen mode; deposits land in containers; containers at the pressing
-threshold are baled by idle presses; the reward is read off the post-deposit
-container purities.
+The belt is the input tape itself: the batch generated at step t reaches
+the sorter at step t + ``belt_delay``, so no belt contents are stored.  Per
+step, in order: the head batch (``tape.batch(t - belt_delay)``) is sorted
+under the chosen mode; deposits land in containers; containers at the
+pressing threshold are baled by idle presses; the reward is read off the
+post-deposit container purities.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,7 +51,6 @@ class MaterialBatch:
     may be shared between rollouts that replay the same seed."""
 
     quantities: list[float]
-    created_at: int
     total: float
 
 
@@ -149,21 +148,21 @@ class EnvState:
 
     config: EnvConfig
     t: int
-    belt: deque[MaterialBatch]
     containers: list[Container]
     presses: list[Press]
     bales: list[Bale]
     last_action: Optional[int]
     last_realized_accuracies: list[float]
-    generated_total: float
     tape: InputTape
 
     def mass_balance(self) -> tuple[float, float]:
-        """(total generated, total accounted for on belt + containers + bales)."""
-        accounted = sum(b.total for b in self.belt)
-        accounted += sum(c.total for c in self.containers)
+        """(total sorted so far, total in containers + bales).  Steps 0 .. t-1
+        sorted the tape batches of -belt_delay .. t-belt_delay-1."""
+        delay = self.config.belt_delay
+        sorted_total = sum(self.tape.batch(k - delay).total for k in range(self.t))
+        accounted = sum(c.total for c in self.containers)
         accounted += sum(b.size for b in self.bales)
-        return self.generated_total, accounted
+        return sorted_total, accounted
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def generate_input(config: EnvConfig, seed: int, t: int) -> MaterialBatch:
         weights.append(w if w > 0.01 else 0.01)
     wsum = weights[0] + weights[1] + weights[2] + weights[3]
     quantities = [total * w / wsum for w in weights]
-    return MaterialBatch(quantities, t, quantities[0] + quantities[1] + quantities[2] + quantities[3])
+    return MaterialBatch(quantities, quantities[0] + quantities[1] + quantities[2] + quantities[3])
 
 
 def effective_accuracy(mode: int, material: int, load_fraction: float, config: EnvConfig, jitter: float) -> float:
@@ -384,20 +383,14 @@ def build_observation(state: EnvState) -> np.ndarray:
     bmax = config.batch_max
     obs = [0.0] * OBS_SIZE
 
-    if state.belt:
-        tail = state.belt[-1]
-        head = state.belt[0]
-        tq = tail.quantities
-        hq = head.quantities
-        obs[0] = tq[0] / bmax
-        obs[1] = tq[1] / bmax
-        obs[2] = tq[2] / bmax
-        obs[3] = tq[3] / bmax
+    if config.belt_delay > 0:
+        # the belt holds tape steps t - belt_delay (head) .. t - 1 (tail, newest)
+        tail = state.tape.batch(state.t - 1)
+        head = state.tape.batch(state.t - config.belt_delay)
+        for m in range(N_MATERIALS):
+            obs[m] = tail.quantities[m] / bmax
+            obs[5 + m] = head.quantities[m] / bmax
         obs[4] = tail.total / bmax
-        obs[5] = hq[0] / bmax
-        obs[6] = hq[1] / bmax
-        obs[7] = hq[2] / bmax
-        obs[8] = hq[3] / bmax
         load = head.total / bmax
         obs[9] = load if load <= 1.0 else 1.0
 
@@ -434,22 +427,20 @@ def build_observation(state: EnvState) -> np.ndarray:
 def reset(config: EnvConfig, seed: int, tape: Optional[InputTape] = None) -> tuple[EnvState, np.ndarray]:
     """Fresh episode state, deterministic in (config, seed).
 
-    The belt is pre-filled with the batches for t = -belt_delay .. -1 so the
-    sorter has work from step 0 onward.
+    The belt starts full: at step 0 it holds the tape batches of
+    t = -belt_delay .. -1.  None is generated up front except the two the
+    observation reads, so the cost does not depend on belt_delay.
     """
     if tape is None:
         tape = InputTape(config, seed)
-    belt = deque(tape.batch(t) for t in range(-config.belt_delay, 0))
     state = EnvState(
         config=config,
         t=0,
-        belt=belt,
         containers=[Container() for _ in range(N_CONTAINERS)],
         presses=[Press() for _ in range(config.n_presses)],
         bales=[],
         last_action=None,
         last_realized_accuracies=[config.baseline_accuracy] * N_MATERIALS,
-        generated_total=sum(b.total for b in belt),
         tape=tape,
     )
     return state, build_observation(state)
@@ -469,12 +460,7 @@ def advance(state: EnvState, action: int) -> tuple[float, list[Bale]]:
 
     t = state.t
     tape = state.tape
-    new_batch = tape.batch(t)
-    state.belt.append(new_batch)
-    state.generated_total += new_batch.total
-
-    head = state.belt.popleft()
-    outcome = sort_batch(head, action, config, tape.jitters(t))
+    outcome = sort_batch(tape.batch(t - config.belt_delay), action, config, tape.jitters(t))
     new_bales = update_containers_and_presses(state, outcome.deposits)
     reward = compute_reward(state.containers, config)
 

@@ -38,8 +38,8 @@ def noise_draw(seed: int, stream: int, t: int, channel: int) -> float:
     """Uniform draw in [0, 1) keyed by (seed, stream, step, channel).
 
     Negative step indices map onto their 64-bit two's complement, so the
-    pre-episode belt fill (t = -delay .. -1) uses the same recipe as
-    in-episode draws.
+    batches already on the belt at reset (t = -delay .. -1) use the same
+    recipe as in-episode draws.
     """
     u = mix64(mix64(mix64(mix64(seed & _MASK64) ^ int(stream)) ^ (t & _MASK64)) ^ (channel & _MASK64))
     return (u >> 11) * _INV_2_53

@@ -18,7 +18,7 @@ GOLDEN_RANDOM_SEED4 = "01010100111000100010"
 
 
 def batch(quantities):
-    return MaterialBatch(list(quantities), 0, sum(quantities))
+    return MaterialBatch(list(quantities), sum(quantities))
 
 
 def test_random_policy_deterministic_and_golden():
@@ -51,14 +51,15 @@ def test_rule_flips_under_pair_swap(q):
 
 def test_rule_reads_only_the_head_batch():
     state, _ = reset(CFG, 6)
-    expected = rule_based_policy(state.belt[0])
+    # the head of the belt at step 0 is the tape batch of t = -belt_delay
+    expected = rule_based_policy(state.tape.batch(-CFG.belt_delay))
     assert make_policy("rule")(state) == expected
 
 
 @pytest.mark.parametrize("belt_delay", [0, 1, 2, 5])
 def test_rule_policy_matches_advance_path_at_any_belt_delay(belt_delay):
-    # with no delay the head batch is generated on the step itself, so it is
-    # not on the belt when the policy reads the state
+    # the batch sorted at step t is generated at t - belt_delay; with no
+    # delay that is the step itself
     cfg = EnvConfig(belt_delay=belt_delay, episode_len=40)
     run = run_policy(cfg, 9, make_policy("rule"), 40)
     state, _ = reset(cfg, 9)

@@ -175,12 +175,16 @@ def _drop_first_seed(doc):
     return doc
 
 
-def _set_in_first_trajectory(key, value):
+def _set_in_first(records, key, value):
     def tamper(doc):
-        doc["trajectories"][0][key] = value
+        doc[records][0][key] = value
         return doc
 
     return tamper
+
+
+def _set_in_config(key, value):
+    return lambda doc: {**doc, "config": {**doc["config"], key: value}}
 
 
 @pytest.mark.parametrize(
@@ -193,10 +197,17 @@ def _set_in_first_trajectory(key, value):
         (lambda doc: {**doc, "seeds": doc["seeds"][1:]}, "manifest-seeds", "exactly the accepted and rejected"),
         (_duplicate_first_trajectory, "manifest-seeds", "more than once"),
         (lambda doc: {**doc, "config": []}, "manifest-config", "key/value mapping"),
-        (_set_in_first_trajectory("file", 5), "manifest-index", "file name must be a string"),
-        (_set_in_first_trajectory("file", [1]), "manifest-index", "file name must be a string"),
+        (_set_in_first("trajectories", "file", 5), "manifest-index", "file name must be a string"),
+        (_set_in_first("trajectories", "file", [1]), "manifest-index", "file name must be a string"),
         (lambda doc: {**doc, "min_improvement": "x"}, "manifest-config", "min_improvement must be a number"),
-        (_set_in_first_trajectory("actions", 5), "manifest-index", "actions string malformed"),
+        (_set_in_first("trajectories", "actions", 5), "manifest-index", "actions string malformed"),
+        # huge integer fields are reported promptly, never simulated at their size
+        (_set_in_config("belt_delay", 10**30), "replay", "cumulative reward mismatch"),
+        (_set_in_config("seasonal_period", 10**30), "replay", "cumulative reward mismatch"),
+        (_set_in_config("episode_len", 10**30), "transition-count", f"expected {10**30} transitions"),
+        (_set_in_first("rejections", "ga_reward", "x"), "manifest-index", "missing or not finite"),
+        (_set_in_first("rejections", "baseline_reward", float("nan")), "manifest-index", "missing or not finite"),
+        (_set_in_first("rejections", "ga_reward", 1e9), "filter", "passes the margin rule"),
     ],
     ids=[
         "not-an-object",
@@ -210,11 +221,17 @@ def _set_in_first_trajectory(key, value):
         "file-unhashable",
         "min-improvement-not-number",
         "actions-not-string",
+        "huge-belt-delay",
+        "huge-seasonal-period",
+        "huge-episode-len",
+        "rejection-reward-not-number",
+        "rejection-reward-nan",
+        "rejection-passes-filter",
     ],
 )
 def test_validate_reports_manifest_tamper(campaign, tmp_path, capsys, tamper, rule, detail):
     out, manifest = campaign
-    assert manifest.accepted, "campaign produced no accepted trajectories to tamper with"
+    assert manifest.accepted and manifest.rejected, "campaign needs accepted and rejected seeds to tamper with"
     copy = tmp_path / "tampered"
     copy.mkdir()
     for path in out.iterdir():

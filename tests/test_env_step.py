@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
-from sortplant.env import ContractViolation, InputTape, advance, reset, step
+from sortplant import env
+from sortplant.env import ContractViolation, InputTape, advance, generate_input, reset, step
 from sortplant.rng import Stream, noise_draw
 
 CFG = EnvConfig()
 
-# head-batch quantities after reset (the t = -2 batch), frozen per seed
+# head-batch quantities at reset (the t = -2 tape batch), frozen per seed
 GOLDEN_HEAD_SEED0 = [25.405215591976596, 22.121013650172323, 5.084261850288856, 18.728771958011183]
 GOLDEN_HEAD_SEED1 = [5.689558070912881, 48.700639373450336, 18.486105915754134, 26.107967490710532]
 
@@ -28,7 +29,7 @@ GOLDEN_REWARDS_SEED42 = [0.2896159599122201, 0.46384351188239836, 0.413478797273
 def oracle_first_step_reward(seed: int, action: int) -> float:
     """Spreadsheet-style trace of step 0 from nothing but the draw recipe and
     the documented formulas (defaults; containers start empty, no pressing)."""
-    # input recipe for the batch dequeued at step 0 (created at t = -2)
+    # input recipe for the batch sorted at step 0 (generated at t = -2)
     t_created = -2
     u0 = noise_draw(seed, Stream.INPUT_SIZE, t_created, 0)
     total = 20.0 + u0 * (100.0 - 20.0)
@@ -71,17 +72,35 @@ def test_reset_is_deterministic_and_prefills_belt():
     s1, o1 = reset(CFG, 7)
     s2, o2 = reset(CFG, 7)
     assert np.array_equal(o1, o2)
-    assert len(s1.belt) == CFG.belt_delay
-    assert [b.created_at for b in s1.belt] == [-2, -1]
-    assert [b.quantities for b in s1.belt] == [b.quantities for b in s2.belt]
+    # at step 0 the belt holds the tape batches of t = -2 (head) and -1 (tail)
+    belt = [s1.tape.batch(t).quantities for t in range(-CFG.belt_delay, 0)]
+    assert belt == [s2.tape.batch(t).quantities for t in range(-CFG.belt_delay, 0)]
+    assert belt == [generate_input(CFG, 7, t).quantities for t in (-2, -1)]
+    assert list(o1[0:4]) == [q / CFG.batch_max for q in belt[-1]]
+    assert list(o1[5:9]) == [q / CFG.batch_max for q in belt[0]]
     assert s1.bales == [] and s1.last_action is None
 
 
 def test_reset_golden_head_batches_differ_by_seed():
     s0, _ = reset(CFG, 0)
     s1, _ = reset(CFG, 1)
-    assert s0.belt[0].quantities == pytest.approx(GOLDEN_HEAD_SEED0, rel=1e-12)
-    assert s1.belt[0].quantities == pytest.approx(GOLDEN_HEAD_SEED1, rel=1e-12)
+    assert s0.tape.batch(-2).quantities == pytest.approx(GOLDEN_HEAD_SEED0, rel=1e-12)
+    assert s1.tape.batch(-2).quantities == pytest.approx(GOLDEN_HEAD_SEED1, rel=1e-12)
+
+
+def test_reset_cost_does_not_grow_with_belt_delay(monkeypatch):
+    generated = []
+    real = env.generate_input
+
+    def counting(config, seed, t):
+        generated.append(t)
+        return real(config, seed, t)
+
+    monkeypatch.setattr(env, "generate_input", counting)
+    _, obs = reset(EnvConfig(belt_delay=1000), 5)
+    # only the tail and head batches read by the observation
+    assert sorted(generated) == [-1000, -1]
+    assert obs[4] > 0.0 and obs[9] > 0.0
 
 
 def test_first_step_reward_matches_hand_trace():
@@ -147,7 +166,8 @@ def _coin_flips(seed: int, n: int) -> list[int]:
 
 # capacity ratio 1.0 is the overflow regime (every crossing container is full),
 # a long press_duration saturates both presses, belt_delay 0 sorts each batch
-# on the step that generates it
+# on the step that generates it, and a delay longer than the episode sorts
+# only batches generated before step 0
 ledger_configs = st.builds(
     lambda threshold, capacity_ratio, press_duration, belt_delay: EnvConfig(
         episode_len=LEDGER_LEN,
@@ -159,7 +179,7 @@ ledger_configs = st.builds(
     threshold=st.floats(20.0, 400.0),
     capacity_ratio=st.just(1.0) | st.floats(1.0, 2.0),
     press_duration=st.sampled_from([0, 40]) | st.integers(0, LEDGER_LEN),
-    belt_delay=st.just(0) | st.integers(0, 5),
+    belt_delay=st.just(0) | st.integers(0, 2 * LEDGER_LEN),
 )
 
 
@@ -175,6 +195,7 @@ ledger_configs = st.builds(
     seed=3,
     actions=[t % 2 for t in range(LEDGER_LEN)],
 )
+@example(cfg=EnvConfig(episode_len=LEDGER_LEN, belt_delay=10**30), seed=5, actions=_coin_flips(9, LEDGER_LEN))
 def test_mass_ledger_balances_every_step(cfg, seed, actions):
     state, _ = reset(cfg, seed)
     for action in actions:
@@ -183,10 +204,13 @@ def test_mass_ledger_balances_every_step(cfg, seed, actions):
         assert abs(generated - accounted) / generated <= 1e-9
 
 
-def test_advance_equals_step_rewards():
-    s1, _ = reset(CFG, 15)
-    s2, _ = reset(CFG, 15)
-    actions = [random.Random(1).randrange(2) for _ in range(50)]
+@pytest.mark.parametrize("belt_delay", [0, 2, 5])
+def test_advance_equals_step_rewards(belt_delay):
+    cfg = EnvConfig(belt_delay=belt_delay)
+    s1, _ = reset(cfg, 15)
+    s2, _ = reset(cfg, 15)
+    actions = _coin_flips(1, 50)
+    assert set(actions) == {0, 1}
     r_step = [step(s1, a).reward for a in actions]
     r_adv = [advance(s2, a)[0] for a in actions]
     assert r_step == r_adv  # bit-exact: same dynamics path

@@ -38,7 +38,6 @@ def test_golden_vector_seed42():
     batch = generate_input(cfg, 42, 0)
     assert batch.quantities == pytest.approx(GOLDEN_BATCH_42_0, rel=1e-12)
     assert recipe(cfg, 42, 0) == pytest.approx(GOLDEN_BATCH_42_0, rel=1e-12)
-    assert batch.created_at == 0
     assert batch.total == pytest.approx(sum(GOLDEN_BATCH_42_0), rel=1e-12)
 
 
@@ -59,10 +58,9 @@ def test_no_seasonality_means_quantities_track_raw_draws():
 
 
 def test_negative_step_supported():
-    # reset pre-fills the belt with t = -delay .. -1 batches
+    # at reset the belt holds the batches of t = -delay .. -1
     cfg = EnvConfig()
     batch = generate_input(cfg, 3, -2)
-    assert batch.created_at == -2
     assert all(q > 0 for q in batch.quantities)
     assert generate_input(cfg, 3, -2).quantities == batch.quantities
 

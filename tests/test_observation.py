@@ -17,7 +17,7 @@ CFG = EnvConfig()
 def test_fresh_reset_layout():
     state, obs = reset(CFG, 11)
     assert len(obs) == OBS_SIZE
-    # belt encodings populated from the pre-filled batches
+    # belt encodings populated from the tape batches of t = -2 and -1
     assert obs[4] > 0.0 and obs[9] > 0.0
     # accuracies report the baseline before the first sort
     assert list(obs[10:14]) == [CFG.baseline_accuracy] * 4

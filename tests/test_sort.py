@@ -13,7 +13,7 @@ NO_JITTER = (0.0, 0.0, 0.0, 0.0)
 
 
 def make_batch(quantities):
-    return MaterialBatch(list(quantities), 0, sum(quantities))
+    return MaterialBatch(list(quantities), sum(quantities))
 
 
 def trace_sort(quantities, mode, config, jitters=NO_JITTER):
