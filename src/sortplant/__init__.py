@@ -33,6 +33,7 @@ from .planners import (
     brute_force,
     crossover,
     episode_reward,
+    evaluate_population,
     ga_optimize,
     ga_seed_for_env,
     mutate,

@@ -2,10 +2,12 @@
 
 Subcommands: simulate, brute, ga, demo-gen, validate, bench, defaults.
 Exit codes: 0 success, 1 usage or config error, 2 validation failure,
-3 I/O error.  Progress goes to stderr; machine-readable results go to files
-or stdout.  --workers N (N >= 1) spreads GA candidate chunks, BF code
-ranges, campaign seeds or bench cells over N processes through
-planners.parallel_map; it changes wall time only, never any number.
+3 I/O error.  Progress and timing go to stderr; machine-readable results go
+to files or stdout, and never depend on timing.  --workers N (N >= 1) on
+brute, demo-gen and bench spreads BF code ranges, campaign seeds or bench
+cells over N processes through planners.parallel_map; it changes wall time
+only, never any number.  The GA scores each generation in one batched call,
+so ga takes no --workers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
@@ -90,7 +93,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--len", type=int, required=True)
     _add_ga_args(p)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", type=Path, default=None, help="also write the result record here")
 
     p = sub.add_parser("demo-gen", help="run a demonstration campaign over a seed range")
@@ -132,6 +134,10 @@ def _ga_params(args: argparse.Namespace) -> GaParams:
         mutation_rate=args.mut,
         ga_seed=args.ga_seed,
     )
+
+
+def _report_rate(command: str, evaluations: int, wall: float) -> None:
+    print(f"{command}: {evaluations} evaluations in {wall:.3f} s ({evaluations / wall:.0f} episodes/s)", file=sys.stderr)
 
 
 def _emit(payload: dict, out: Optional[Path]) -> None:
@@ -179,7 +185,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_brute(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    start = perf_counter()
     result = brute_force(config, args.seed, args.len, workers=args.workers)
+    _report_rate("brute", result.evaluations, perf_counter() - start)
     _emit(
         {
             "sequence": "".join(map(str, result.best_sequence)),
@@ -193,7 +201,9 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 
 def _cmd_ga(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    result = ga_optimize(config, args.seed, args.len, _ga_params(args), workers=args.workers)
+    start = perf_counter()
+    result = ga_optimize(config, args.seed, args.len, _ga_params(args))
+    _report_rate("ga", result.evaluations, perf_counter() - start)
     table = [list(result.initial_stats)] + [list(g) for g in result.per_generation]
     _emit(
         {

@@ -16,6 +16,11 @@ from typing import Any
 import yaml
 
 
+# 1000x the default episode: every command runs episode_len steps per
+# episode, so a larger value only makes a run hang
+MAX_EPISODE_LEN = 100_000
+
+
 class ConfigError(ValueError):
     """Unknown key, bad value type, or violated config invariant."""
 
@@ -65,8 +70,8 @@ class EnvConfig:
             raise ConfigError("n_materials is fixed at 4 (materials A..D)")
         if self.n_presses != 2:
             raise ConfigError("n_presses is fixed at 2")
-        if self.episode_len < 1:
-            raise ConfigError("episode_len must be >= 1")
+        if not 1 <= self.episode_len <= MAX_EPISODE_LEN:
+            raise ConfigError(f"episode_len must lie in [1, {MAX_EPISODE_LEN}], got {self.episode_len}")
         if len(self.purity_thresholds) != 4:
             raise ConfigError("purity_thresholds must list exactly 4 fractions")
         if not all(0.0 < x < 1.0 for x in self.purity_thresholds):

@@ -112,13 +112,14 @@ class InputTape:
     or no cache, the numbers are bit-identical.
     """
 
-    __slots__ = ("config", "seed", "_batches", "_jitters")
+    __slots__ = ("config", "seed", "_batches", "_jitters", "_sorts")
 
     def __init__(self, config: EnvConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
         self._batches: dict[int, MaterialBatch] = {}
         self._jitters: dict[int, tuple[float, float, float, float]] = {}
+        self._sorts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def batch(self, t: int) -> MaterialBatch:
         b = self._batches.get(t)
@@ -140,6 +141,31 @@ class InputTape:
             )
             self._jitters[t] = j
         return j
+
+    def sorted_deposits(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both possible sorts of step t, as ``(deposits, totals)``.
+
+        Sorting reads only the head batch and the jitters of step t, never
+        plant state, so step t has one outcome per mode.  ``deposits[c, j, a]``
+        is :func:`sort_batch`'s ``deposits[c][j]`` under action a, and
+        ``totals[c, a]`` is that deposit's total for container c of A-D,
+        summed left to right as :func:`update_containers_and_presses` does.
+        """
+        memo = self._sorts.get(t)
+        if memo is None:
+            batch = self.batch(t - self.config.belt_delay)
+            jitters = self.jitters(t)
+            deposits = np.empty((N_CONTAINERS, N_MATERIALS, 2))
+            totals = np.empty((N_MATERIALS, 2))
+            for action in (0, 1):
+                rows = sort_batch(batch, action, self.config, jitters).deposits
+                deposits[:, :, action] = rows
+                for c in range(N_MATERIALS):
+                    dep = rows[c]
+                    totals[c, action] = dep[0] + dep[1] + dep[2] + dep[3]
+            memo = (deposits, totals)
+            self._sorts[t] = memo
+        return memo
 
 
 @dataclass

@@ -4,22 +4,35 @@ Both planners score candidates with the frozen-seed rollout: the same seed
 realizes the same inputs no matter which actions are applied, so the episode
 reward is a pure function of the bit sequence.  That gives an upper bound on
 controller performance, not a controller.
+
+Both score through :func:`evaluate_population`, which steps a whole batch of
+candidates through one input tape on numpy arrays and returns, bit for bit,
+what :func:`episode_reward` (the scalar reference path) returns for each.  The
+GA scores each generation's new candidates in one call in this process; BF
+scores its codes in chunks of ``BRUTE_FORCE_CHUNK`` and can spread code ranges
+over worker processes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .baselines import run_policy
 from .config import EnvConfig
-from .env import ContractViolation, InputTape, advance, reset
+from .env import CONTAINER_E, N_CONTAINERS, N_MATERIALS, ContractViolation, InputTape, advance, reset
 from .rng import derive_seed
 from .trajio import Transition
 
 BRUTE_FORCE_CAP = 20
+# codes per evaluate_population call in brute_force: larger chunks bought
+# little speed and pushed the peak memory of long searches up
+BRUTE_FORCE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,96 @@ def episode_reward(config: EnvConfig, seed: int, actions: Sequence[int], tape: O
     total = 0.0
     for action in actions:
         total += advance(state, action)[0]
+    return total
+
+
+def evaluate_population(tape: InputTape, bits: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Frozen-seed rewards of P action sequences scored together.
+
+    ``bits`` is a (P, n) 0/1 matrix; entry i of the result equals
+    ``episode_reward(tape.config, tape.seed, bits[i], tape)`` bit for bit.
+    The P episodes step through numpy state arrays with the population on the
+    last axis: contents (5, 4, P), pending_since (5, P) with -1 for "not
+    waiting", busy_until (n_presses, P).  Sorts come from
+    :meth:`InputTape.sorted_deposits`.  The rules of
+    :func:`update_containers_and_presses` and :func:`compute_reward` are
+    mirrored operation for operation:
+
+    - every sum runs left to right, ``((a + b) + c) + d``, never ``np.sum``;
+    - the three deposit branches become one keep factor per container: 1.0
+      if the deposit fits, 0.0 without headroom, headroom / total otherwise
+      (``x * 1.0`` and ``x * 0.0`` reproduce the scalar additions exactly);
+    - presses are served in order, each idle press taking the waiting
+      container with the least (pending_since, index), so a press takes at
+      most one job per step;
+    - an empty container adds 0.0 to the step reward.
+    """
+    bits = np.asarray(bits)
+    if bits.ndim != 2:
+        raise ContractViolation(f"bits must be a (P, n) matrix, got {bits.ndim} dimension(s)")
+    pop, n = bits.shape
+    config = tape.config
+    if n > config.episode_len:
+        raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
+    if ((bits != 0) & (bits != 1)).any():
+        raise ContractViolation("actions must be 0 or 1")
+    actions = bits.astype(np.intp)
+
+    capacity = config.container_capacity
+    threshold = config.pressing_threshold
+    duration = config.press_duration
+    penalty = config.penalty_factor
+    purity_thresholds = np.array(config.purity_thresholds)[:, None]
+    designated = np.arange(N_MATERIALS)
+    rank = np.arange(N_CONTAINERS)[:, None]  # ties in pending_since go to the lower index
+    columns = np.arange(pop)
+    not_waiting = np.iinfo(np.int64).max
+
+    contents = np.zeros((N_CONTAINERS, N_MATERIALS, pop))
+    pending = np.full((N_CONTAINERS, pop), -1, dtype=np.int64)
+    busy = np.zeros((config.n_presses, pop), dtype=np.int64)
+    designated_contents = contents[:N_MATERIALS]
+    e_contents = contents[CONTAINER_E]
+    total = np.zeros(pop)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(n):
+            table, table_totals = tape.sorted_deposits(t)
+            action = actions[:, t]
+            deposits = table[:, :, action]
+            dep_total = table_totals[:, action]
+
+            # deposits: containers A-D are independent of each other, but E
+            # takes their overflow in container order, then its own deposit
+            c = designated_contents
+            headroom = capacity - (((c[:, 0] + c[:, 1]) + c[:, 2]) + c[:, 3])
+            keep = np.where(headroom >= dep_total, 1.0, np.where(headroom <= 0.0, 0.0, headroom / dep_total))
+            c += deposits[:N_MATERIALS] * keep[:, None]
+            spill = deposits[:N_MATERIALS] * (1.0 - keep)[:, None]
+            e_contents += spill[0]
+            e_contents += spill[1]
+            e_contents += spill[2]
+            e_contents += spill[3]
+            e_contents += deposits[CONTAINER_E]
+
+            fill = ((contents[:, 0] + contents[:, 1]) + contents[:, 2]) + contents[:, 3]
+            pending[(pending < 0) & (fill >= threshold)] = t
+            waiting = pending >= 0
+            if waiting.any():
+                key = np.where(waiting, pending * N_CONTAINERS + rank, not_waiting)
+                for p in range(config.n_presses):
+                    first = key.argmin(axis=0)
+                    take = (busy[p] <= t) & (key[first, columns] != not_waiting)
+                    rows, cols = first[take], columns[take]
+                    contents[rows, :, cols] = 0.0
+                    fill[rows, cols] = 0.0
+                    pending[rows, cols] = -1
+                    key[rows, cols] = not_waiting
+                    busy[p, take] = t + duration
+
+            filled = fill[:N_MATERIALS]
+            deviation = designated_contents[designated, designated] / filled - purity_thresholds
+            reward = np.where(filled > 0.0, np.where(deviation >= 0.0, deviation, penalty * deviation), 0.0)
+            total += ((reward[0] + reward[1]) + reward[2]) + reward[3]
     return total
 
 
@@ -151,42 +254,29 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _score_chunk(tape: InputTape, chunk: list[tuple[int, ...]]) -> list[float]:
-    return [episode_reward(tape.config, tape.seed, bits, tape) for bits in chunk]
-
-
 class _FitnessOracle:
-    """Memoized frozen-seed fitness, scored in chunks through parallel_map.
+    """Memoized frozen-seed fitness.
 
-    Candidates are deduplicated in first-appearance order; results are merged
-    back by position, so worker count never changes any number.
+    Each call scores the candidates not seen before, deduplicated in
+    first-appearance order, in one :func:`evaluate_population` call.  A
+    candidate is keyed by ``bytes(bits)``, one byte per action where a tuple
+    key holds an eight-byte pointer per action; the cache keeps every
+    candidate of a run.
     """
 
-    def __init__(self, config: EnvConfig, seed: int, n: int, workers: int = 1) -> None:
-        self.workers = workers
+    def __init__(self, config: EnvConfig, seed: int) -> None:
         self.tape = InputTape(config, seed)
-        if workers > 1:
-            # every chunk ships a pickled copy of the tape: fill it once here
-            # so no worker regenerates the inputs
-            episode_reward(config, seed, [0] * n, self.tape)
-        self.cache: dict[tuple[int, ...], float] = {}
+        self.cache: dict[bytes, float] = {}
         self.evaluations = 0
 
     def fitnesses(self, population: Sequence[Sequence[int]]) -> list[float]:
-        todo: list[tuple[int, ...]] = []
-        seen = set()
-        for bits in population:
-            key = tuple(bits)
-            if key not in self.cache and key not in seen:
-                seen.add(key)
-                todo.append(key)
+        keys = [bytes(bits) for bits in population]
+        todo = list(dict.fromkeys(key for key in keys if key not in self.cache))
         if todo:
             self.evaluations += len(todo)
-            chunks = [todo[start:stop] for start, stop in _spans(len(todo), self.workers * 4)]
-            results = parallel_map(_score_chunk, [(self.tape, chunk) for chunk in chunks], self.workers)
-            for chunk, values in zip(chunks, results):
-                self.cache.update(zip(chunk, values))
-        return [self.cache[tuple(bits)] for bits in population]
+            bits = np.frombuffer(b"".join(todo), dtype=np.uint8).reshape(len(todo), -1)
+            self.cache.update(zip(todo, evaluate_population(self.tape, bits).tolist()))
+        return [self.cache[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +293,8 @@ def brute_force(config: EnvConfig, seed: int, n: int, workers: int = 1) -> Brute
         raise ContractViolation(f"brute force refuses n > {BRUTE_FORCE_CAP} (2**{n} rollouts); use the GA instead")
     total = 1 << n
     tape = InputTape(config, seed)
-    # below 256 codes a pool costs more than the episodes it would share out
-    parts = workers * 4 if total >= 256 else 1
+    # a pool pays only when there is more than one chunk to share out
+    parts = workers if total > BRUTE_FORCE_CHUNK else 1
     partials = parallel_map(_brute_span, [(tape, n, start, stop) for start, stop in _spans(total, parts)], workers)
     # spans are merged in code order with a strict >, so ties keep the lowest code
     best_code, best_reward = partials[0]
@@ -215,14 +305,14 @@ def brute_force(config: EnvConfig, seed: int, n: int, workers: int = 1) -> Brute
 
 
 def _brute_span(tape: InputTape, n: int, start: int, stop: int) -> tuple[int, float]:
-    config, seed = tape.config, tape.seed
-    best_code = start
-    best_reward = episode_reward(config, seed, _code_to_bits(start, n), tape)
-    for code in range(start + 1, stop):
-        reward = episode_reward(config, seed, _code_to_bits(code, n), tape)
-        if reward > best_reward:
-            best_reward = reward
-            best_code = code
+    shifts = np.arange(n - 1, -1, -1)  # MSB first, as in _code_to_bits
+    best_code, best_reward = start, -math.inf
+    for low in range(start, stop, BRUTE_FORCE_CHUNK):
+        codes = np.arange(low, min(low + BRUTE_FORCE_CHUNK, stop))
+        rewards = evaluate_population(tape, (codes[:, None] >> shifts) & 1)
+        i = int(np.argmax(rewards))  # the first maximum, so the lowest code
+        if rewards[i] > best_reward:
+            best_code, best_reward = low + i, float(rewards[i])
     return best_code, best_reward
 
 
@@ -231,7 +321,7 @@ def _code_to_bits(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams, workers: int = 1) -> GaResult:
+def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams) -> GaResult:
     """Evolve binary action sequences against the frozen-seed fitness.
 
     Tournament selection (size 2), single-point crossover, independent
@@ -239,13 +329,12 @@ def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams, workers:
     candidate ever evaluated is archived separately and returned.  All
     stochastic choices come from one sequential stream seeded by ga_seed and
     are drawn before fitness dispatch.  Each generation's new candidates are
-    scored through :func:`parallel_map` (a pool per generation when
-    ``workers > 1``), so results are independent of worker count.
+    scored in one :func:`evaluate_population` call.
     """
     if n < 1:
         raise ContractViolation("horizon must be >= 1")
     rng = random.Random(params.ga_seed)
-    oracle = _FitnessOracle(config, seed, n, workers)
+    oracle = _FitnessOracle(config, seed)
     population = [[rng.randrange(2) for _ in range(n)] for _ in range(params.population)]
     fitnesses = oracle.fitnesses(population)
     best_idx = max(range(len(fitnesses)), key=lambda i: fitnesses[i])

@@ -48,6 +48,15 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert "episod_len" in capsys.readouterr().err
 
 
+def test_simulate_rejects_huge_episode_len(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"episode_len: {10**30}\n")
+    out = tmp_path / "t.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--seed", "1", "--policy", "rule", "--out", str(out)]) == 1
+    assert "episode_len must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
     assert main(["brute", "--seed", "1"]) == 1  # --len missing
@@ -87,6 +96,29 @@ def test_ga_subcommand_writes_record(tmp_path, capsys):
     assert len(payload["generations"]) == 3  # generation 0 + 2 bred
     stdout_payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert stdout_payload == payload
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["ga", "--seed", "2", "--len", "8", "--pop", "8", "--gens", "2"], "ga"),
+        (["brute", "--seed", "2", "--len", "6"], "brute"),
+    ],
+    ids=["ga", "brute"],
+)
+def test_timing_goes_to_stderr_only(argv, command, tmp_path, capsys, monkeypatch):
+    records, lines = [], []
+    for step_s in (0.001, 7.0):
+        clock = iter((0.0, step_s))  # read once before and once after the run
+        monkeypatch.setattr("sortplant.cli.perf_counter", lambda: next(clock))
+        out = tmp_path / f"{step_s}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        records.append(out.read_bytes())
+        lines.append(capsys.readouterr().err.strip())
+    assert records[0] == records[1]
+    assert lines[0] != lines[1]
+    evaluations = json.loads(records[0])["evaluations"]
+    assert lines[1] == f"{command}: {evaluations} evaluations in 7.000 s ({evaluations / 7.0:.0f} episodes/s)"
 
 
 def test_demo_gen_and_validate_roundtrip(tmp_path, capsys):
@@ -156,11 +188,10 @@ def test_bench_rejects_campaign_seeds(tmp_path):
     "argv",
     [
         ["brute", "--seed", "1", "--len", "3"],
-        ["ga", "--seed", "1", "--len", "4", "--pop", "4", "--gens", "1"],
         ["demo-gen", "--seeds", "1000", "--pop", "4", "--gens", "1", "--out", "{tmp}"],
         ["bench", "--strategies", "R", "--seeds", "0", "--len", "3", "--out", "{tmp}"],
     ],
-    ids=["brute", "ga", "demo-gen", "bench"],
+    ids=["brute", "demo-gen", "bench"],
 )
 def test_workers_below_one_is_usage_error(argv, workers, tmp_path, capsys):
     argv = [arg.format(tmp=tmp_path / "out") for arg in argv]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sortplant.config import ConfigError, EnvConfig, config_from_mapping, config_to_dict, load_config
+from sortplant.config import MAX_EPISODE_LEN, ConfigError, EnvConfig, config_from_mapping, config_to_dict, load_config
 
 
 def test_defaults_are_the_documented_values():
@@ -38,6 +38,7 @@ def test_defaults_are_the_documented_values():
         {"purity_thresholds": (0.85, 0.80, 0.75, 1.0)},
         {"penalty_factor": 0.0},
         {"episode_len": 0},
+        {"episode_len": MAX_EPISODE_LEN + 1},
         {"n_materials": 5},
         {"n_presses": 1},
         {"seasonal_period": 0},

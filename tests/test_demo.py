@@ -204,7 +204,7 @@ def _set_in_config(key, value):
         # huge integer fields are reported promptly, never simulated at their size
         (_set_in_config("belt_delay", 10**30), "replay", "cumulative reward mismatch"),
         (_set_in_config("seasonal_period", 10**30), "replay", "cumulative reward mismatch"),
-        (_set_in_config("episode_len", 10**30), "transition-count", f"expected {10**30} transitions"),
+        (_set_in_config("episode_len", 10**30), "manifest-config", "episode_len must lie in"),
         (_set_in_first("rejections", "ga_reward", "x"), "manifest-index", "missing or not finite"),
         (_set_in_first("rejections", "baseline_reward", float("nan")), "manifest-index", "missing or not finite"),
         (_set_in_first("rejections", "ga_reward", 1e9), "filter", "passes the margin rule"),
