@@ -24,7 +24,15 @@ from .env import (
     step,
     update_containers_and_presses,
 )
-from .baselines import PolicyRun, make_policy, random_policy, rule_based_policy, run_policy
+from .baselines import (
+    PolicyRun,
+    make_policy,
+    random_actions,
+    random_policy,
+    rule_based_actions,
+    rule_based_policy,
+    run_policy,
+)
 from .planners import (
     BruteForceResult,
     GaParams,
@@ -51,7 +59,7 @@ from .demo import (
     validate_dataset,
 )
 from .bench import BenchResult, BenchSpec, Summary, emit_outputs, evaluate_strategy, run_bench, summarize
-from .rng import Stream, mix64, noise_draw
+from .rng import Stream, mix64, noise_block, noise_draw
 from .trajio import Transition, read_transitions, write_transitions
 
 __version__ = "0.1.0"

@@ -9,9 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .config import EnvConfig
 from .env import ContractViolation, EnvState, InputTape, MaterialBatch, reset, step
-from .rng import Stream, noise_draw
+from .rng import Stream, noise_block, noise_draw
 from .trajio import Transition
 
 POLICY_NAMES = ("random", "rule")
@@ -28,6 +30,18 @@ def rule_based_policy(head_batch: MaterialBatch) -> int:
     """Boost the majority pair of the batch about to be sorted; ties pick 0."""
     q = head_batch.quantities
     return 0 if q[0] + q[2] >= q[1] + q[3] else 1
+
+
+def random_actions(policy_seed: int, n: int) -> list[int]:
+    """``[random_policy(policy_seed, t) for t in range(n)]`` from one array draw."""
+    return (noise_block(policy_seed, Stream.POLICY, 0, n, 1)[:, 0] >= 0.5).astype(int).tolist()
+
+
+def rule_based_actions(tape: InputTape, n: int) -> list[int]:
+    """The rule-based policy's actions for steps 0 .. n-1: it reads only the
+    head batch, so its actions are a function of the tape alone."""
+    q = tape.head_quantities(n)
+    return np.where(q[:, 0] + q[:, 2] >= q[:, 1] + q[:, 3], 0, 1).tolist()
 
 
 def make_policy(name: str, policy_seed: Optional[int] = None) -> Policy:

@@ -17,10 +17,19 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .config import ConfigError, EnvConfig, config_to_dict
-from .baselines import make_policy, run_policy
+from .baselines import random_actions, rule_based_actions
 from .demo import BENCH_SEED_LIMIT
-from .env import ContractViolation, purity_reward
-from .planners import BRUTE_FORCE_CAP, GaParams, GenStats, brute_force, ga_optimize, ga_seed_for_env, parallel_map
+from .env import ContractViolation, InputTape, purity_reward
+from .planners import (
+    BRUTE_FORCE_CAP,
+    GaParams,
+    GenStats,
+    brute_force,
+    episode_reward,
+    ga_optimize,
+    ga_seed_for_env,
+    parallel_map,
+)
 
 STRATEGIES = ("R", "RB", "BF", "GA")
 
@@ -77,12 +86,13 @@ def evaluate_strategy(
 ) -> tuple[float, Optional[tuple[GenStats, list[GenStats]]]]:
     """Cumulative reward of one strategy on one seed; GA also returns its
     per-generation curve."""
-    if strategy == "R":
-        # the policy stream is independent of the environment streams, so
-        # reusing the env seed costs nothing
-        return run_policy(config, seed, make_policy("random", policy_seed=seed), horizon).cumulative_reward, None
-    if strategy == "RB":
-        return run_policy(config, seed, make_policy("rule"), horizon).cumulative_reward, None
+    if strategy in ("R", "RB"):
+        # scored open loop (see the module docstring); the policy stream is
+        # independent of the environment streams, so R reusing the env seed
+        # as its policy seed costs nothing
+        tape = InputTape(config, seed)
+        actions = random_actions(seed, horizon) if strategy == "R" else rule_based_actions(tape, horizon)
+        return episode_reward(config, seed, actions, tape), None
     if strategy == "BF":
         return brute_force(config, seed, horizon).best_reward, None
     if strategy == "GA":

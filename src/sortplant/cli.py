@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -149,12 +150,14 @@ def _emit(payload: dict, out: Optional[Path]) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if args.len is not None and args.len < 1:
+        raise UsageError(f"--len must be >= 1, got {args.len}")
     n = args.len if args.len is not None else config.episode_len
     if args.actions is not None:
         if args.policy is not None:
             raise UsageError("--actions and --policy are mutually exclusive")
-        if not set(args.actions) <= {"0", "1"}:
-            raise UsageError("--actions must be a 0/1 string")
+        if not args.actions or not set(args.actions) <= {"0", "1"}:
+            raise UsageError("--actions must be a nonempty 0/1 string")
         actions = [int(b) for b in args.actions]
         if args.len is not None and args.len != len(actions):
             raise UsageError("--len disagrees with the length of --actions")
@@ -219,6 +222,8 @@ def _cmd_ga(args: argparse.Namespace) -> int:
 
 def _cmd_demo_gen(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if not math.isfinite(args.min_improvement):
+        raise UsageError(f"--min-improvement must be finite, got {args.min_improvement}")
     seeds = parse_seed_spec(args.seeds)
     print(f"demo-gen: {len(seeds)} seeds, workers={args.workers}", file=sys.stderr)
     manifest = demo_mod.run_campaign(

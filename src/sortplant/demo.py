@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 
 from .config import ConfigError, EnvConfig, config_from_mapping, config_to_dict
 from .env import OBS_SIZE, ContractViolation, InputTape
-from .baselines import make_policy, run_policy
-from .planners import GaParams, ga_optimize, ga_seed_for_env, parallel_map, rollout
+from .baselines import rule_based_actions
+from .planners import GaParams, episode_reward, ga_optimize, ga_seed_for_env, parallel_map, rollout
 from .trajio import Transition, read_transitions, sha256_file, write_transitions
 
 MANIFEST_NAME = "manifest.json"
@@ -87,21 +87,22 @@ def generate_demo(
 
     The GA best sequence is replayed through a fresh rollout to materialize
     the exported transitions; determinism guarantees the replay reproduces
-    the optimizer's reward exactly.
+    the optimizer's reward exactly.  The rule-based baseline is scored open
+    loop from the tape, as the benchmark scores it.
     """
     n = config.episode_len
     tape = InputTape(config, env_seed)
-    baseline = run_policy(config, env_seed, make_policy("rule"), n, tape=tape)
+    baseline = episode_reward(config, env_seed, rule_based_actions(tape, n), tape)
     per_env = dataclasses.replace(ga_params, ga_seed=ga_seed_for_env(ga_params.ga_seed, env_seed))
     ga = ga_optimize(config, env_seed, n, per_env)
-    if not passes_filter(ga.best_reward, baseline.cumulative_reward, min_improvement):
-        return Rejection(env_seed, ga.best_reward, baseline.cumulative_reward)
+    if not passes_filter(ga.best_reward, baseline, min_improvement):
+        return Rejection(env_seed, ga.best_reward, baseline)
     total, transitions = rollout(config, env_seed, ga.best_sequence, tape)
     if total != ga.best_reward:
         raise RuntimeError(
             f"replay of seed {env_seed} returned {total!r}, optimizer saw {ga.best_reward!r}; determinism broken"
         )
-    return DemoTrajectory(env_seed, ga.best_sequence, transitions, total, baseline.cumulative_reward)
+    return DemoTrajectory(env_seed, ga.best_sequence, transitions, total, baseline)
 
 
 def run_campaign(
@@ -118,6 +119,8 @@ def run_campaign(
     files and the manifest are written in ascending seed order, so reruns are
     byte-identical whatever the worker count.
     """
+    if not _is_finite_number(min_improvement):
+        raise ContractViolation(f"min_improvement must be a finite number, got {min_improvement!r}")
     seeds = tuple(sorted(set(int(s) for s in seeds)))
     if len(seeds) == 0:
         raise ContractViolation("campaign needs at least one seed")
@@ -225,9 +228,11 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
             False,
             [Violation(MANIFEST_NAME, "manifest-index", "trajectories and rejections must be lists of records with an integer seed")],
         )
-    if manifest.get("accepted_count") != len(entries):
+    # type() is int keeps out booleans, since True == 1
+    accepted_count, rejected_count = manifest.get("accepted_count"), manifest.get("rejected_count")
+    if type(accepted_count) is not int or accepted_count != len(entries):
         violations.append(Violation(MANIFEST_NAME, "manifest-index", "accepted_count does not match index length"))
-    if manifest.get("rejected_count") != len(rejections):
+    if type(rejected_count) is not int or rejected_count != len(rejections):
         violations.append(Violation(MANIFEST_NAME, "manifest-index", "rejected_count does not match rejections length"))
     recorded = [record["seed"] for record in entries + rejections]
     if len(set(recorded)) != len(recorded):

@@ -12,28 +12,41 @@ step, in order: the head batch (``tape.batch(t - belt_delay)``) is sorted
 under the chosen mode; deposits land in containers; containers at the
 pressing threshold are baled by idle presses; the reward is read off the
 post-deposit container purities.
+
+A sort reads only the head batch and the jitters of its step, never plant
+state, so :class:`InputTape` computes every step's inputs, jitters and both
+sorts ahead of the actions, in numpy blocks of ``BLOCK`` steps, and
+:func:`advance` reads its deposits and accuracies off the tape.
+:func:`generate_input` and :func:`sort_batch` remain as the scalar reference
+that the blocks match bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import EnvConfig
-from .rng import Stream, noise_draw
+from .rng import Stream, noise_block, noise_draw
 
 N_MATERIALS = 4
 CONTAINER_E = 4
 N_CONTAINERS = 5
 OBS_SIZE = 33
 
+# steps per InputTape block: one block covers a default 100-step episode
+BLOCK = 128
+
 # mode 0 boosts A and C, mode 1 boosts B and D
 BOOSTED_BY_MODE = ((0, 2), (1, 3))
 
 _TWO_PI = 2.0 * math.pi
+# phase shift of material m's seasonal sinusoid, as generate_input adds it
+_SEASON_SHIFTS = tuple(m * (math.pi / 2.0) for m in range(N_MATERIALS))
 
 
 class ContractViolation(ValueError):
@@ -104,68 +117,79 @@ class StepResult:
     info: dict
 
 
-class InputTape:
-    """Memoized input and jitter draws for one (config, seed) pair.
+class _Block(NamedTuple):
+    """Tape arrays for the steps t = b * BLOCK .. (b + 1) * BLOCK - 1.
 
-    Draws are pure functions of (seed, t); the tape caches them so that many
-    rollouts against the same seed skip recomputing identical values.  Cache
-    or no cache, the numbers are bit-identical.
+    Row i is step t = b * BLOCK + i: the head batch it sorts (generated at
+    t - belt_delay), its jitters, and both of its sorts.  The last axis of
+    ``deposits``, ``deposit_totals`` and ``accuracies`` is the action.
     """
 
-    __slots__ = ("config", "seed", "_batches", "_jitters", "_sorts")
+    quantities: np.ndarray  # (BLOCK, 4)
+    totals: np.ndarray  # (BLOCK,)
+    jitters: np.ndarray  # (BLOCK, 4)
+    deposits: np.ndarray  # (BLOCK, 5, 4, 2)
+    deposit_totals: np.ndarray  # (BLOCK, 4, 2)
+    accuracies: np.ndarray  # (BLOCK, 4, 2)
+
+
+class InputTape:
+    """Every input, jitter and sort of one (config, seed) pair, in blocks.
+
+    Draws are pure functions of (seed, t), and a sort reads only the head
+    batch and the jitters of its step, so the tape computes them ahead of any
+    action: step t's head batch, jitters and both sorts live in row
+    ``t % BLOCK`` of block ``t // BLOCK``.  A block is filled in one numpy
+    pass (:func:`_fill_block`) the first time any of its steps is read, so a
+    tape costs only the blocks it touches, whatever ``belt_delay`` or
+    ``episode_len``.  Every entry equals, bit for bit, what the scalar
+    reference (:func:`generate_input`, :func:`sort_batch`) computes.
+    """
+
+    __slots__ = ("config", "seed", "_blocks")
 
     def __init__(self, config: EnvConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
-        self._batches: dict[int, MaterialBatch] = {}
-        self._jitters: dict[int, tuple[float, float, float, float]] = {}
-        self._sorts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[int, _Block] = {}
+
+    def _row(self, t: int) -> tuple[_Block, int]:
+        b, i = divmod(t, BLOCK)
+        block = self._blocks.get(b)
+        if block is None:
+            block = self._blocks[b] = _fill_block(self.config, self.seed, b)
+        return block, i
 
     def batch(self, t: int) -> MaterialBatch:
-        b = self._batches.get(t)
-        if b is None:
-            b = generate_input(self.config, self.seed, t)
-            self._batches[t] = b
-        return b
+        """The batch generated at step t, which step t + belt_delay sorts."""
+        block, i = self._row(t + self.config.belt_delay)
+        return MaterialBatch(block.quantities[i].tolist(), float(block.totals[i]))
 
     def jitters(self, t: int) -> tuple[float, float, float, float]:
-        j = self._jitters.get(t)
-        if j is None:
-            half = self.config.accuracy_jitter
-            seed = self.seed
-            j = (
-                (2.0 * noise_draw(seed, Stream.JITTER, t, 0) - 1.0) * half,
-                (2.0 * noise_draw(seed, Stream.JITTER, t, 1) - 1.0) * half,
-                (2.0 * noise_draw(seed, Stream.JITTER, t, 2) - 1.0) * half,
-                (2.0 * noise_draw(seed, Stream.JITTER, t, 3) - 1.0) * half,
-            )
-            self._jitters[t] = j
-        return j
+        block, i = self._row(t)
+        return tuple(block.jitters[i].tolist())  # type: ignore[return-value]
+
+    def sort_outcome(self, t: int, action: int) -> SortOutcome:
+        """What :func:`sort_batch` returns for step t's head batch and
+        jitters under ``action``."""
+        block, i = self._row(t)
+        return SortOutcome(block.deposits[i, :, :, action].tolist(), block.accuracies[i, :, action].tolist())
 
     def sorted_deposits(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Both possible sorts of step t, as ``(deposits, totals)``.
 
-        Sorting reads only the head batch and the jitters of step t, never
-        plant state, so step t has one outcome per mode.  ``deposits[c, j, a]``
-        is :func:`sort_batch`'s ``deposits[c][j]`` under action a, and
-        ``totals[c, a]`` is that deposit's total for container c of A-D,
-        summed left to right as :func:`update_containers_and_presses` does.
+        ``deposits[c, j, a]`` is :func:`sort_batch`'s ``deposits[c][j]``
+        under action a, and ``totals[c, a]`` is that deposit's total for
+        container c of A-D, summed left to right as
+        :func:`update_containers_and_presses` does.
         """
-        memo = self._sorts.get(t)
-        if memo is None:
-            batch = self.batch(t - self.config.belt_delay)
-            jitters = self.jitters(t)
-            deposits = np.empty((N_CONTAINERS, N_MATERIALS, 2))
-            totals = np.empty((N_MATERIALS, 2))
-            for action in (0, 1):
-                rows = sort_batch(batch, action, self.config, jitters).deposits
-                deposits[:, :, action] = rows
-                for c in range(N_MATERIALS):
-                    dep = rows[c]
-                    totals[c, action] = dep[0] + dep[1] + dep[2] + dep[3]
-            memo = (deposits, totals)
-            self._sorts[t] = memo
-        return memo
+        block, i = self._row(t)
+        return block.deposits[i], block.deposit_totals[i]
+
+    def head_quantities(self, n: int) -> np.ndarray:
+        """(n, 4) quantities of the head batches sorted at steps 0 .. n-1."""
+        blocks = [self._row(t)[0].quantities for t in range(0, n, BLOCK)]
+        return np.concatenate(blocks)[:n] if blocks else np.empty((0, N_MATERIALS))
 
 
 @dataclass
@@ -257,7 +281,8 @@ def sort_batch(
     random play.
 
     ``jitters`` is the per-station accuracy jitter; in an episode it is
-    ``InputTape.jitters(t)``, the one place the jitter stream is drawn.
+    ``InputTape.jitters(t)``, drawn by the tape, the one place the jitter
+    stream is drawn.
     """
     load = batch.total / config.batch_max
     if load > 1.0:
@@ -292,6 +317,79 @@ def sort_batch(
                     residual[j] -= grabbed
     deposits[CONTAINER_E] = residual
     return SortOutcome(deposits, accuracies)
+
+
+@functools.lru_cache(maxsize=64)
+def _season(period: int, amplitude: float, g0: int) -> np.ndarray:
+    """(BLOCK, 4) seasonal factors of :func:`generate_input` for the steps
+    g0 .. g0 + BLOCK - 1.  They do not depend on the seed, so the tapes of
+    many seeds share one read-only copy."""
+    phases = [_TWO_PI * g / period for g in range(g0, g0 + BLOCK)]
+    sines = np.array([math.sin(phase + shift) for phase in phases for shift in _SEASON_SHIFTS])
+    season = 1.0 + amplitude * sines.reshape(BLOCK, N_MATERIALS)
+    season.flags.writeable = False
+    return season
+
+
+def _fill_block(config: EnvConfig, seed: int, b: int) -> _Block:
+    """Block b of the tape of (config, seed): :func:`generate_input` for the
+    head batches, the jitters and :func:`sort_batch` under both actions, for
+    the steps t = b * BLOCK .. (b + 1) * BLOCK - 1, in one numpy pass.
+
+    Each array operation is the scalar path's operation applied elementwise
+    in the same order (sums left to right, branches as ``np.where``), so
+    every entry is bit-identical to the scalar reference.  ``math.sin`` stays
+    scalar, because ``np.sin`` may differ from libm in the last place.
+    """
+    t0 = b * BLOCK
+    # generate_input over the steps t - belt_delay
+    g0 = t0 - config.belt_delay
+    u0 = noise_block(seed, Stream.INPUT_SIZE, g0, BLOCK, 1)[:, 0]
+    total = config.batch_min + u0 * (config.batch_max - config.batch_min)
+    season = _season(config.seasonal_period, config.seasonal_amplitude, g0)
+    w = noise_block(seed, Stream.INPUT_MIX, g0, BLOCK, N_MATERIALS) * season
+    w = np.where(w > 0.01, w, 0.01)
+    wsum = ((w[:, 0] + w[:, 1]) + w[:, 2]) + w[:, 3]
+    quantities = total[:, None] * w / wsum[:, None]
+    totals = ((quantities[:, 0] + quantities[:, 1]) + quantities[:, 2]) + quantities[:, 3]
+    jitters = (2.0 * noise_block(seed, Stream.JITTER, t0, BLOCK, N_MATERIALS) - 1.0) * config.accuracy_jitter
+
+    # sort_batch, with (step, action) as the trailing axes of every station
+    # value; a residual broadcasts over the action until its first sort
+    load = totals / config.batch_max
+    load = np.where(load > 1.0, 1.0, load)
+    wear = (1.0 - config.degradation_coeff * load * load)[:, None]
+    kappa = config.contamination_coeff
+    residual = [quantities[:, j, None] for j in range(N_MATERIALS)]
+    deposits = np.zeros((BLOCK, N_CONTAINERS, N_MATERIALS, 2))
+    accuracies = np.empty((BLOCK, N_MATERIALS, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(N_MATERIALS):
+            base = np.array([1.0 - config.boost_noise if m in BOOSTED_BY_MODE[a] else config.baseline_accuracy for a in (0, 1)])
+            acc = base * wear + jitters[:, m, None]
+            acc = np.where(acc < 0.0, 0.0, np.where(acc > 1.0, 1.0, acc))
+            accuracies[:, m] = acc
+            processed = residual[m]
+            own = acc * processed
+            deposits[:, m, m] = own
+            residual[m] = processed - own
+            false_volume = (1.0 - acc) * kappa * processed
+            others = [j for j in range(N_MATERIALS) if j != m]
+            pool = 0.0
+            for j in others:
+                pool = pool + residual[j]
+            grab = (false_volume > 0.0) & (pool > 0.0)
+            frac = false_volume / pool
+            frac = np.where(frac > 1.0, 1.0, frac)
+            for j in others:
+                grabbed = frac * residual[j]
+                deposits[:, m, j] = np.where(grab, grabbed, 0.0)
+                residual[j] = np.where(grab, residual[j] - grabbed, residual[j])
+    for j in range(N_MATERIALS):
+        deposits[:, CONTAINER_E, j] = residual[j]
+    d = deposits[:, :N_MATERIALS]
+    deposit_totals = ((d[:, :, 0] + d[:, :, 1]) + d[:, :, 2]) + d[:, :, 3]
+    return _Block(quantities, totals, jitters, deposits, deposit_totals, accuracies)
 
 
 def update_containers_and_presses(state: EnvState, deposits: list[list[float]]) -> list[Bale]:
@@ -475,8 +573,8 @@ def reset(config: EnvConfig, seed: int, tape: Optional[InputTape] = None) -> tup
 def advance(state: EnvState, action: int) -> tuple[float, list[Bale]]:
     """Run one transition without building the observation vector.
 
-    This is the fitness-evaluation hot path; :func:`step` is exactly this
-    plus :func:`build_observation`.
+    The sort comes off the tape (:meth:`InputTape.sort_outcome`);
+    :func:`step` is exactly this plus :func:`build_observation`.
     """
     config = state.config
     if state.t >= config.episode_len:
@@ -485,8 +583,7 @@ def advance(state: EnvState, action: int) -> tuple[float, list[Bale]]:
         raise ContractViolation(f"action must be 0 or 1, got {action!r}")
 
     t = state.t
-    tape = state.tape
-    outcome = sort_batch(tape.batch(t - config.belt_delay), action, config, tape.jitters(t))
+    outcome = state.tape.sort_outcome(t, action)
     new_bales = update_containers_and_presses(state, outcome.deposits)
     reward = compute_reward(state.containers, config)
 

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 from enum import IntEnum
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0**-53
+# the same constants as numpy scalars, for noise_block
+_U_GOLDEN, _U_MIX_A, _U_MIX_B = np.uint64(_GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class Stream(IntEnum):
@@ -43,6 +48,33 @@ def noise_draw(seed: int, stream: int, t: int, channel: int) -> float:
     """
     u = mix64(mix64(mix64(mix64(seed & _MASK64) ^ int(stream)) ^ (t & _MASK64)) ^ (channel & _MASK64))
     return (u >> 11) * _INV_2_53
+
+
+def noise_block(seed: int, stream: int, t0: int, steps: int, channels: int) -> np.ndarray:
+    """Array twin of :func:`noise_draw`: entry ``[i, c]`` is
+    ``noise_draw(seed, stream, t0 + i, c)`` bit for bit.
+
+    The SplitMix64 rounds run in numpy ``uint64``, whose arithmetic wraps mod
+    2**64 as the masked integer rounds do; the (seed, stream) prefix is mixed
+    once in Python.  ``t0`` may be any integer: only its low 64 bits enter.
+    """
+    key = mix64(mix64(seed & _MASK64) ^ int(stream))
+    ts = np.arange(steps, dtype=np.uint64)
+    ts += np.uint64(t0 & _MASK64)
+    ts ^= np.uint64(key)
+    z = _mix64_array(ts)[:, None] ^ np.arange(channels, dtype=np.uint64)
+    return (_mix64_array(z) >> _U11).astype(np.float64) * _INV_2_53
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` on every entry of a fresh ``uint64`` array, in place."""
+    z += _U_GOLDEN
+    z ^= z >> _U30
+    z *= _U_MIX_A
+    z ^= z >> _U27
+    z *= _U_MIX_B
+    z ^= z >> _U31
+    return z
 
 
 def derive_seed(base: int, salt: int) -> int:

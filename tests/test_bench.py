@@ -7,8 +7,8 @@ import math
 import pytest
 
 from sortplant.config import ConfigError, EnvConfig
-from sortplant.env import ContractViolation
-from sortplant.baselines import make_policy, run_policy
+from sortplant.env import ContractViolation, InputTape
+from sortplant.baselines import make_policy, random_actions, rule_based_actions, run_policy
 from sortplant.bench import (
     BenchSpec,
     emit_outputs,
@@ -44,6 +44,19 @@ def test_rb_closed_loop_equals_replayed_sequence():
     run = run_policy(CFG, 17, make_policy("rule"), 30)
     assert evaluate_strategy("RB", CFG, 17, 30, SMALL_GA)[0] == run.cumulative_reward
     assert episode_reward(CFG, 17, run.actions) == run.cumulative_reward
+
+
+@pytest.mark.parametrize("belt_delay", [0, 1, 5])
+def test_open_loop_r_and_rb_cells_equal_closed_loop_runs(belt_delay):
+    cfg = EnvConfig(belt_delay=belt_delay)
+    for seed in (0, 7, 999):
+        for strategy, policy in (("R", make_policy("random", policy_seed=seed)), ("RB", make_policy("rule"))):
+            run = run_policy(cfg, seed, policy, 100)
+            assert set(run.actions) == {0, 1}
+            reward, _ = evaluate_strategy(strategy, cfg, seed, 100, SMALL_GA)
+            assert reward.hex() == run.cumulative_reward.hex()
+        assert random_actions(seed, 100) == run_policy(cfg, seed, make_policy("random", policy_seed=seed), 100).actions
+        assert rule_based_actions(InputTape(cfg, seed), 100) == run_policy(cfg, seed, make_policy("rule"), 100).actions
 
 
 def test_bf_dominates_ga_cellwise():

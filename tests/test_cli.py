@@ -198,3 +198,24 @@ def test_workers_below_one_is_usage_error(argv, workers, tmp_path, capsys):
     assert main(argv + ["--workers", workers]) == 1
     assert "error: workers must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--policy", "rule", "--len", "-5"], ["--policy", "rule", "--len", "0"], ["--actions", ""]],
+    ids=["len-negative", "len-zero", "actions-empty"],
+)
+def test_simulate_without_steps_is_usage_error(extra, tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    assert main(["simulate", "--seed", "3", *extra, "--out", str(out)]) == 1
+    assert "error: --" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+def test_demo_gen_rejects_non_finite_margin(margin, tmp_path, capsys):
+    out = tmp_path / "demos"
+    argv = ["demo-gen", "--seeds", "1000", "--pop", "4", "--gens", "1", f"--min-improvement={margin}", "--out", str(out)]
+    assert main(argv) == 1
+    assert "--min-improvement must be finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -97,6 +97,13 @@ def test_campaign_rejects_benchmark_seeds():
         run_campaign(SMALL_CFG, [999, 1000], SMALL_GA, out_dir="unused")
 
 
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), "0.15", True])
+def test_campaign_rejects_non_finite_margin(margin, tmp_path):
+    with pytest.raises(ContractViolation, match="min_improvement must be a finite number"):
+        run_campaign(SMALL_CFG, [1000], SMALL_GA, min_improvement=margin, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_passes_untouched(campaign):
     out, _ = campaign
     report = validate_dataset(out)
@@ -183,6 +190,18 @@ def _set_in_first(records, key, value):
     return tamper
 
 
+def _one_record_counted_true(records, count_key):
+    # True == 1, so the count must be rejected for its type, not its value
+    def tamper(doc):
+        dropped = {record["seed"] for record in doc[records][1:]}
+        doc[records] = doc[records][:1]
+        doc["seeds"] = [seed for seed in doc["seeds"] if seed not in dropped]
+        doc[count_key] = True
+        return doc
+
+    return tamper
+
+
 def _set_in_config(key, value):
     return lambda doc: {**doc, "config": {**doc["config"], key: value}}
 
@@ -194,6 +213,8 @@ def _set_in_config(key, value):
         (_drop_first_seed, "manifest-index", "integer seed"),
         (lambda doc: {**doc, "trajectories": None}, "manifest-index", "integer seed"),
         (lambda doc: {**doc, "rejected_count": doc["rejected_count"] + 1}, "manifest-index", "rejected_count"),
+        (_one_record_counted_true("trajectories", "accepted_count"), "manifest-index", "accepted_count"),
+        (_one_record_counted_true("rejections", "rejected_count"), "manifest-index", "rejected_count"),
         (lambda doc: {**doc, "seeds": doc["seeds"][1:]}, "manifest-seeds", "exactly the accepted and rejected"),
         (_duplicate_first_trajectory, "manifest-seeds", "more than once"),
         (lambda doc: {**doc, "config": []}, "manifest-config", "key/value mapping"),
@@ -214,6 +235,8 @@ def _set_in_config(key, value):
         "entry-without-seed",
         "null-trajectories",
         "rejected-count",
+        "accepted-count-bool",
+        "rejected-count-bool",
         "seeds-list",
         "duplicate-seed",
         "config-not-object",

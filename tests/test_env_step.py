@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
-from sortplant import env
-from sortplant.env import ContractViolation, InputTape, advance, generate_input, reset, step
+from sortplant.env import BLOCK, ContractViolation, InputTape, advance, generate_input, reset, step
 from sortplant.rng import Stream, noise_draw
 
 CFG = EnvConfig()
@@ -88,19 +87,16 @@ def test_reset_golden_head_batches_differ_by_seed():
     assert s1.tape.batch(-2).quantities == pytest.approx(GOLDEN_HEAD_SEED1, rel=1e-12)
 
 
-def test_reset_cost_does_not_grow_with_belt_delay(monkeypatch):
-    generated = []
-    real = env.generate_input
-
-    def counting(config, seed, t):
-        generated.append(t)
-        return real(config, seed, t)
-
-    monkeypatch.setattr(env, "generate_input", counting)
-    _, obs = reset(EnvConfig(belt_delay=1000), 5)
-    # only the tail and head batches read by the observation
-    assert sorted(generated) == [-1000, -1]
-    assert obs[4] > 0.0 and obs[9] > 0.0
+def test_reset_cost_does_not_grow_with_belt_delay(drawn_steps):
+    counts = []
+    for belt_delay in (1000, 10**30):
+        drawn_steps.clear()
+        _, obs = reset(EnvConfig(belt_delay=belt_delay), 5)
+        # only the blocks holding the tail and head batches read by the observation
+        assert -belt_delay in drawn_steps and -1 in drawn_steps
+        assert obs[4] > 0.0 and obs[9] > 0.0
+        counts.append(len(drawn_steps))
+    assert counts == [2 * BLOCK, 2 * BLOCK]
 
 
 def test_first_step_reward_matches_hand_trace():
