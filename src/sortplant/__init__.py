@@ -13,6 +13,7 @@ from .env import (
     Press,
     SortOutcome,
     StepResult,
+    TapeStack,
     advance,
     build_observation,
     compute_reward,

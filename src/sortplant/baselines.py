@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import EnvConfig
-from .env import ContractViolation, EnvState, InputTape, MaterialBatch, reset, step
+from .env import ContractViolation, EnvState, InputTape, MaterialBatch, TapeStack, reset, step
 from .rng import Stream, noise_block, noise_draw
 from .trajio import Transition
 
@@ -34,14 +34,15 @@ def rule_based_policy(head_batch: MaterialBatch) -> int:
 
 def random_actions(policy_seed: int, n: int) -> list[int]:
     """``[random_policy(policy_seed, t) for t in range(n)]`` from one array draw."""
-    return (noise_block(policy_seed, Stream.POLICY, 0, n, 1)[:, 0] >= 0.5).astype(int).tolist()
+    return (noise_block((policy_seed,), Stream.POLICY, 0, n, 1)[0, :, 0] >= 0.5).astype(int).tolist()
 
 
-def rule_based_actions(tape: InputTape, n: int) -> list[int]:
+def rule_based_actions(tapes: InputTape | TapeStack, n: int) -> list:
     """The rule-based policy's actions for steps 0 .. n-1: it reads only the
-    head batch, so its actions are a function of the tape alone."""
-    q = tape.head_quantities(n)
-    return np.where(q[:, 0] + q[:, 2] >= q[:, 1] + q[:, 3], 0, 1).tolist()
+    head batch, so its actions are a function of the tape alone.  A tape
+    gives one list of n actions, a stack one such list per seed."""
+    q = tapes.head_quantities(n)
+    return np.where(q[..., 0] + q[..., 2] >= q[..., 1] + q[..., 3], 0, 1).tolist()
 
 
 def make_policy(name: str, policy_seed: Optional[int] = None) -> Policy:

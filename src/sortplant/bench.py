@@ -1,10 +1,17 @@
 """Benchmark harness: strategy evaluation over seed sets with plot-ready output.
 
 Strategies: R (uniform random policy), RB (majority-pair rule), BF (exhaustive
-search, short horizons only), GA (evolutionary planner).  R and RB run closed
-loop through the live environment; BF and GA are planners scored by their best
-frozen-seed sequence.  Scores from external agents can be merged from a file
-so downstream results land in the same tables.
+search, short horizons only), GA (evolutionary planner).  BF and GA are
+planners scored by their best frozen-seed sequence.  R and RB are scored open
+loop: neither policy reads plant state (R draws from its own stream, RB reads
+only the head batch, which is on the tape), so their action sequences are
+known before the episode runs, and the reward of a sequence is what the
+closed-loop run would earn.  :func:`run_bench` therefore scores the R and RB
+cells of up to ``STACK_SEEDS`` seeds in one
+:func:`~sortplant.planners.evaluate_population` call over one
+:class:`~sortplant.env.TapeStack`, which both strategies share.  Scores from
+external agents can be merged from a file so downstream results land in the
+same tables.
 """
 
 from __future__ import annotations
@@ -19,19 +26,27 @@ from typing import Optional, Sequence, Union
 from .config import ConfigError, EnvConfig, config_to_dict
 from .baselines import random_actions, rule_based_actions
 from .demo import BENCH_SEED_LIMIT
-from .env import ContractViolation, InputTape, purity_reward
+from .env import ContractViolation, TapeStack, purity_reward
 from .planners import (
     BRUTE_FORCE_CAP,
     GaParams,
     GenStats,
+    _spans,
     brute_force,
-    episode_reward,
+    evaluate_population,
     ga_optimize,
     ga_seed_for_env,
     parallel_map,
 )
 
 STRATEGIES = ("R", "RB", "BF", "GA")
+# the strategies whose actions are known before the episode runs
+OPEN_LOOP = ("R", "RB")
+# seeds per TapeStack in run_bench, so R and RB cells per evaluate_population
+# call are at most twice this.  The per-step cost of that call barely grows
+# with its width, while the stack's working set grows with STACK_SEEDS x
+# env.BLOCK; see ROADMAP item 2 for the measured time and peak memory
+STACK_SEEDS = 25
 
 PER_SEED_HEADER = "strategy,seed,reward"
 SUMMARY_HEADER = "strategy,count,mean,std,median,min,max"
@@ -85,14 +100,9 @@ def evaluate_strategy(
     strategy: str, config: EnvConfig, seed: int, horizon: int, ga_params: GaParams
 ) -> tuple[float, Optional[tuple[GenStats, list[GenStats]]]]:
     """Cumulative reward of one strategy on one seed; GA also returns its
-    per-generation curve."""
-    if strategy in ("R", "RB"):
-        # scored open loop (see the module docstring); the policy stream is
-        # independent of the environment streams, so R reusing the env seed
-        # as its policy seed costs nothing
-        tape = InputTape(config, seed)
-        actions = random_actions(seed, horizon) if strategy == "R" else rule_based_actions(tape, horizon)
-        return episode_reward(config, seed, actions, tape), None
+    per-generation curve.  An R or RB cell is a stack of one seed."""
+    if strategy in OPEN_LOOP:
+        return score_open_loop(config, (seed,), (strategy,), horizon)[0], None
     if strategy == "BF":
         return brute_force(config, seed, horizon).best_reward, None
     if strategy == "GA":
@@ -102,22 +112,59 @@ def evaluate_strategy(
     raise ContractViolation(f"unknown strategy {strategy!r}")
 
 
+def score_open_loop(config: EnvConfig, seeds: Sequence[int], strategies: Sequence[str], horizon: int) -> list[float]:
+    """Rewards of the R and RB cells of ``seeds``, strategy-major, from one
+    :class:`TapeStack` and one :func:`evaluate_population` call (see the
+    module docstring).  The policy stream is independent of the environment
+    streams, so R reusing the env seed as its policy seed costs nothing."""
+    stack = TapeStack(config, seeds)
+    bits: list[list[int]] = []
+    for strategy in strategies:
+        if strategy == "R":
+            bits += [random_actions(seed, horizon) for seed in seeds]
+        elif strategy == "RB":
+            bits += rule_based_actions(stack, horizon)
+        else:
+            raise ContractViolation(f"{strategy!r} is not an open-loop strategy {OPEN_LOOP}")
+    tape_of_col = list(range(len(seeds))) * len(strategies)
+    return evaluate_population(stack, bits, tape_of_col).tolist()
+
+
+def _score_cells(
+    strategies: tuple[str, ...], config: EnvConfig, seeds: tuple[int, ...], horizon: int, ga_params: GaParams
+) -> list[tuple[float, Optional[tuple[GenStats, list[GenStats]]]]]:
+    """One :func:`run_bench` job: the open-loop cells of a seed group, or one
+    planner cell.  Outcomes come strategy-major, as :func:`score_open_loop`
+    returns them."""
+    if all(strategy in OPEN_LOOP for strategy in strategies):
+        return [(reward, None) for reward in score_open_loop(config, seeds, strategies, horizon)]
+    (strategy,), (seed,) = strategies, seeds
+    return [evaluate_strategy(strategy, config, seed, horizon, ga_params)]
+
+
 def run_bench(config: EnvConfig, spec: BenchSpec, workers: int = 1) -> BenchResult:
-    """Evaluate every (strategy, seed) cell through :func:`parallel_map`;
-    reduction order is fixed by (strategy, seed), so worker count never
-    changes the result."""
+    """Evaluate every (strategy, seed) cell through :func:`parallel_map`.
+
+    The R and RB cells go in groups of at most ``STACK_SEEDS`` seeds, one job
+    per group; every BF or GA cell is a job of its own.  Results are keyed
+    by (strategy, seed), so the worker count never changes them.
+    """
     if spec.horizon > config.episode_len:
         raise ContractViolation(f"horizon {spec.horizon} exceeds episode_len {config.episode_len}")
     seeds = tuple(sorted(spec.seeds))
-    cells = [(strategy, config, seed, spec.horizon, spec.ga_params) for strategy in spec.strategies for seed in seeds]
-    outcomes = parallel_map(evaluate_strategy, cells, workers)
+    open_loop = tuple(s for s in spec.strategies if s in OPEN_LOOP)
+    jobs = []
+    if open_loop:
+        groups = -(-len(seeds) // STACK_SEEDS)
+        jobs += [(open_loop, config, seeds[lo:hi], spec.horizon, spec.ga_params) for lo, hi in _spans(len(seeds), groups)]
+    jobs += [((s,), config, (seed,), spec.horizon, spec.ga_params) for s in spec.strategies if s not in OPEN_LOOP for seed in seeds]
+    outcomes = parallel_map(_score_cells, jobs, workers)
 
-    per_seed: dict[str, list[tuple[int, float]]] = {s: [] for s in spec.strategies}
-    ga_generations: dict[int, tuple[GenStats, list[GenStats]]] = {}
-    for (strategy, _, seed, _, _), (reward, curve) in zip(cells, outcomes):
-        per_seed[strategy].append((seed, reward))
-        if curve is not None:
-            ga_generations[seed] = curve
+    cells: dict[tuple[str, int], tuple[float, Optional[tuple[GenStats, list[GenStats]]]]] = {}
+    for (strategies, _, group, _, _), job_outcomes in zip(jobs, outcomes):
+        cells.update(zip([(s, seed) for s in strategies for seed in group], job_outcomes))
+    per_seed = {s: [(seed, cells[s, seed][0]) for seed in seeds] for s in spec.strategies}
+    ga_generations = {seed: cells["GA", seed][1] for seed in seeds if "GA" in spec.strategies}
     summaries = {s: summarize([r for _, r in rows]) for s, rows in per_seed.items()}
     return BenchResult(spec, per_seed, summaries, ga_generations)
 

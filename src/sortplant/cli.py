@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 from . import bench as bench_mod
 from . import demo as demo_mod
+from . import planners as planners_mod
 from .baselines import POLICY_NAMES, make_policy, run_policy
 from .config import ConfigError, EnvConfig, config_to_dict, defaults_table, load_config
 from .env import ContractViolation
@@ -39,8 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_seed_spec(spec: str) -> list[int]:
-    """Seed list syntax: 'start..end' (end exclusive), 'a,b,c', or a single int."""
+def parse_seed_spec(spec: str, max_count: int = demo_mod.MAX_CAMPAIGN_SEEDS, pool: Optional[range] = None) -> list[int]:
+    """Seed list syntax: 'start..end' (end exclusive), 'a,b,c', or a single int.
+
+    At most ``max_count`` seeds (by default the campaign cap, the largest
+    any command takes), all inside ``pool`` when one is given; a range is
+    checked against both before its seeds are built.
+    """
     spec = spec.strip()
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
@@ -50,11 +56,22 @@ def parse_seed_spec(spec: str) -> list[int]:
             raise UsageError(f"bad seed range {spec!r}; expected start..end") from None
         if hi <= lo:
             raise UsageError(f"empty seed range {spec!r}")
+        _check_seeds(spec, hi - lo, lo, hi - 1, max_count, pool)
         return list(range(lo, hi))
     try:
-        return [int(part) for part in spec.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in spec.split(",") if part.strip() != ""]
     except ValueError:
         raise UsageError(f"bad seed list {spec!r}") from None
+    if seeds:
+        _check_seeds(spec, len(seeds), min(seeds), max(seeds), max_count, pool)
+    return seeds
+
+
+def _check_seeds(spec: str, count: int, low: int, high: int, max_count: int, pool: Optional[range]) -> None:
+    if pool is not None and not (pool.start <= low and high < pool.stop):
+        raise UsageError(f"seed spec {spec!r} reaches outside [{pool.start}, {pool.stop})")
+    if count > max_count:
+        raise UsageError(f"seed spec {spec!r} names {count} seeds; at most {max_count} are allowed")
 
 
 def _add_config_arg(p: argparse.ArgumentParser) -> None:
@@ -98,7 +115,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("demo-gen", help="run a demonstration campaign over a seed range")
     _add_config_arg(p)
-    p.add_argument("--seeds", required=True, help="campaign seeds, e.g. 1000..1240")
+    p.add_argument(
+        "--seeds", required=True, help=f"campaign seeds, e.g. 1000..1240; at most {demo_mod.MAX_CAMPAIGN_SEEDS}"
+    )
     _add_ga_args(p)
     p.add_argument("--min-improvement", type=float, default=demo_mod.DEFAULT_MIN_IMPROVEMENT)
     p.add_argument("--out", type=Path, required=True, help="dataset directory")
@@ -110,7 +129,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="evaluate strategies over a seed set")
     _add_config_arg(p)
     p.add_argument("--strategies", default="R,RB,GA", help="comma list from R,RB,BF,GA")
-    p.add_argument("--seeds", required=True, help="benchmark seeds, e.g. 0..100")
+    p.add_argument("--seeds", required=True, help=f"benchmark seeds in [0, {demo_mod.BENCH_SEED_LIMIT}), e.g. 0..100")
     p.add_argument("--len", type=int, required=True)
     _add_ga_args(p)
     p.add_argument("--external", type=Path, default=None, help="CSV of external scores to merge (strategy,seed,reward)")
@@ -224,7 +243,7 @@ def _cmd_demo_gen(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if not math.isfinite(args.min_improvement):
         raise UsageError(f"--min-improvement must be finite, got {args.min_improvement}")
-    seeds = parse_seed_spec(args.seeds)
+    seeds = parse_seed_spec(args.seeds, demo_mod.MAX_CAMPAIGN_SEEDS)
     print(f"demo-gen: {len(seeds)} seeds, workers={args.workers}", file=sys.stderr)
     manifest = demo_mod.run_campaign(
         config,
@@ -247,7 +266,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    seeds = tuple(parse_seed_spec(args.seeds))
+    seeds = tuple(parse_seed_spec(args.seeds, pool=range(demo_mod.BENCH_SEED_LIMIT)))
     spec = bench_mod.BenchSpec(strategies=strategies, seeds=seeds, horizon=args.len, ga_params=_ga_params(args))
     external = bench_mod.load_external_scores(args.external) if args.external else None
     print(
@@ -268,9 +287,12 @@ def _cmd_defaults(args: argparse.Namespace) -> int:
     print("[ga]")
     for f in dataclasses.fields(GaParams):
         print(f"{f.name} = {f.default}")
+    print(f"max_population = {planners_mod.MAX_POPULATION}")
+    print(f"max_generations = {planners_mod.MAX_GENERATIONS}")
     print("[demo]")
     print(f"min_improvement = {demo_mod.DEFAULT_MIN_IMPROVEMENT}")
     print(f"campaign_seed_min = {demo_mod.BENCH_SEED_LIMIT}")
+    print(f"max_campaign_seeds = {demo_mod.MAX_CAMPAIGN_SEEDS}")
     print("[bench]")
     print(f"bench_seed_range = 0..{demo_mod.BENCH_SEED_LIMIT}")
     print(f"strategies = {','.join(bench_mod.STRATEGIES)}")

@@ -30,6 +30,10 @@ BENCH_SEED_LIMIT = 1000
 
 DEFAULT_MIN_IMPROVEMENT = 0.15
 
+# seeds per campaign: at about 0.3 s per default GA seed, this many run for
+# about eight hours on one worker, and the manifest lists every seed
+MAX_CAMPAIGN_SEEDS = 100_000
+
 
 def passes_filter(ga_reward: float, rb_reward: float, min_improvement: float = DEFAULT_MIN_IMPROVEMENT) -> bool:
     """Sign-safe margin rule: the GA reward must clear the baseline by
@@ -115,15 +119,16 @@ def run_campaign(
 ) -> DatasetManifest:
     """Generate, filter, and export demonstrations for every seed.
 
-    Each seed is one :func:`generate_demo` call through :func:`parallel_map`;
-    files and the manifest are written in ascending seed order, so reruns are
-    byte-identical whatever the worker count.
+    A campaign takes 1 to ``MAX_CAMPAIGN_SEEDS`` distinct seeds, none in the
+    benchmark pool.  Each seed is one :func:`generate_demo` call through
+    :func:`parallel_map`; files and the manifest are written in ascending
+    seed order, so reruns are byte-identical whatever the worker count.
     """
     if not _is_finite_number(min_improvement):
         raise ContractViolation(f"min_improvement must be a finite number, got {min_improvement!r}")
     seeds = tuple(sorted(set(int(s) for s in seeds)))
-    if len(seeds) == 0:
-        raise ContractViolation("campaign needs at least one seed")
+    if not 1 <= len(seeds) <= MAX_CAMPAIGN_SEEDS:
+        raise ContractViolation(f"campaign needs 1 to {MAX_CAMPAIGN_SEEDS} seeds, got {len(seeds)}")
     bad = [s for s in seeds if s < BENCH_SEED_LIMIT]
     if bad:
         raise ContractViolation(

@@ -16,9 +16,11 @@ post-deposit container purities.
 A sort reads only the head batch and the jitters of its step, never plant
 state, so :class:`InputTape` computes every step's inputs, jitters and both
 sorts ahead of the actions, in numpy blocks of ``BLOCK`` steps, and
-:func:`advance` reads its deposits and accuracies off the tape.
-:func:`generate_input` and :func:`sort_batch` remain as the scalar reference
-that the blocks match bit for bit.
+:func:`advance` reads its deposits and accuracies off the tape.  A
+:class:`TapeStack` fills the blocks of many seeds that share a config in one
+pass, with the seed on a leading axis; a lone tape is the one-seed case of
+the same fill.  :func:`generate_input` and :func:`sort_batch` remain as the
+scalar reference that the blocks match bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +40,13 @@ CONTAINER_E = 4
 N_CONTAINERS = 5
 OBS_SIZE = 33
 
-# steps per InputTape block: one block covers a default 100-step episode
+# steps per block of a lone tape: one block covers a default 100-step episode
 BLOCK = 128
+# seeds x steps per block of a TapeStack, which holds one block at a time:
+# a stack of S seeds fills blocks of STACK_ROWS // S steps (at most BLOCK),
+# since its peak memory grows with the rows and its fill cost with the
+# number of blocks; see ROADMAP item 2 for the measurements behind the value
+STACK_ROWS = 400
 
 # mode 0 boosts A and C, mode 1 boosts B and D
 BOOSTED_BY_MODE = ((0, 2), (1, 3))
@@ -118,19 +125,75 @@ class StepResult:
 
 
 class _Block(NamedTuple):
-    """Tape arrays for the steps t = b * BLOCK .. (b + 1) * BLOCK - 1.
+    """Tape arrays for the steps t = b * L .. (b + 1) * L - 1 of a tape whose
+    blocks hold L steps (``TapeStack.block_len``: ``BLOCK`` for a lone tape).
 
-    Row i is step t = b * BLOCK + i: the head batch it sorts (generated at
+    Row i is step t = b * L + i: the head batch it sorts (generated at
     t - belt_delay), its jitters, and both of its sorts.  The last axis of
     ``deposits``, ``deposit_totals`` and ``accuracies`` is the action.
+    :func:`_fill_block` returns every array with a leading seed axis, which
+    an :class:`InputTape` indexes away.
     """
 
-    quantities: np.ndarray  # (BLOCK, 4)
-    totals: np.ndarray  # (BLOCK,)
-    jitters: np.ndarray  # (BLOCK, 4)
-    deposits: np.ndarray  # (BLOCK, 5, 4, 2)
-    deposit_totals: np.ndarray  # (BLOCK, 4, 2)
-    accuracies: np.ndarray  # (BLOCK, 4, 2)
+    quantities: np.ndarray  # (L, 4)
+    totals: np.ndarray  # (L,)
+    jitters: np.ndarray  # (L, 4)
+    deposits: np.ndarray  # (L, 5, 4, 2)
+    deposit_totals: np.ndarray  # (L, 4, 2)
+    accuracies: np.ndarray  # (L, 4, 2)
+
+
+class TapeStack:
+    """The input tapes of many seeds that share one config, read together in
+    step order.
+
+    Block b of every seed is filled in one numpy pass (:func:`_fill_block`),
+    into arrays with the seed on the leading axis, when a step in it is
+    read.  The stack keeps only the block it filled last, so a pass over the
+    steps in order holds one block of its seeds at a time, whatever the
+    horizon; a step read again after its block was dropped is filled again,
+    to the same values.  :meth:`sorted_deposits` serves
+    :func:`~sortplant.planners.evaluate_population` every seed's sorts of one
+    step at once, and :meth:`head_quantities` the head batches of a whole
+    horizon without filling any block.  :meth:`tape` hands out one seed's
+    :class:`InputTape`, whose blocks are views into the stacked arrays.
+    """
+
+    __slots__ = ("config", "seeds", "block_len", "_b", "_block")
+
+    def __init__(self, config: EnvConfig, seeds: Sequence[int]) -> None:
+        if not seeds:
+            raise ContractViolation("a tape stack needs at least one seed")
+        self.config = config
+        self.seeds = tuple(seeds)
+        self.block_len = max(1, min(BLOCK, STACK_ROWS // len(self.seeds)))
+        self._b: Optional[int] = None
+        self._block: Optional[_Block] = None
+
+    def block(self, b: int) -> _Block:
+        """Block b: the steps b * block_len .. (b + 1) * block_len - 1."""
+        if b != self._b:
+            self._block = _fill_block(self.config, self.seeds, b * self.block_len, self.block_len)
+            self._b = b
+        return self._block  # type: ignore[return-value]
+
+    def tape(self, k: int) -> InputTape:
+        """The tape of ``seeds[k]``, filled through this stack."""
+        return InputTape(self.config, self.seeds[k], _stack=self, _index=k)
+
+    def sorted_deposits(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both possible sorts of step t for every seed, as ``(deposits,
+        totals)`` of shapes (5, 4, 2S) and (4, 2S): column 2k + a is seed k
+        under action a, laid out as in :meth:`InputTape.sorted_deposits`."""
+        b, i = divmod(t, self.block_len)
+        block = self.block(b)
+        deposits = block.deposits[:, i].transpose(1, 2, 0, 3).reshape(N_CONTAINERS, N_MATERIALS, -1)
+        totals = block.deposit_totals[:, i].transpose(1, 0, 2).reshape(N_MATERIALS, -1)
+        return deposits, totals
+
+    def head_quantities(self, n: int) -> np.ndarray:
+        """(S, n, 4) quantities of the head batches sorted at steps 0 .. n-1."""
+        return _head_batches(self.config, self.seeds, -self.config.belt_delay, n)[0]
 
 
 class InputTape:
@@ -139,25 +202,30 @@ class InputTape:
     Draws are pure functions of (seed, t), and a sort reads only the head
     batch and the jitters of its step, so the tape computes them ahead of any
     action: step t's head batch, jitters and both sorts live in row
-    ``t % BLOCK`` of block ``t // BLOCK``.  A block is filled in one numpy
-    pass (:func:`_fill_block`) the first time any of its steps is read, so a
-    tape costs only the blocks it touches, whatever ``belt_delay`` or
-    ``episode_len``.  Every entry equals, bit for bit, what the scalar
-    reference (:func:`generate_input`, :func:`sort_batch`) computes.
+    ``t % BLOCK`` of block ``t // BLOCK`` (with a stack's block length in
+    place of ``BLOCK`` for a tape of a stack).  A block is filled in one numpy
+    pass the first time any of its steps is read, and kept, so a tape costs
+    only the blocks it touches, whatever ``belt_delay`` or ``episode_len``.
+    Every entry equals, bit for bit, what the scalar reference
+    (:func:`generate_input`, :func:`sort_batch`) computes.  The tape keeps
+    views into the blocks of a :class:`TapeStack`: a stack of its own seed
+    alone, or the stack that handed it out (:meth:`TapeStack.tape`).
     """
 
-    __slots__ = ("config", "seed", "_blocks")
+    __slots__ = ("config", "seed", "_stack", "_index", "_blocks")
 
-    def __init__(self, config: EnvConfig, seed: int) -> None:
+    def __init__(self, config: EnvConfig, seed: int, *, _stack: Optional[TapeStack] = None, _index: int = 0) -> None:
         self.config = config
         self.seed = seed
+        self._stack = _stack if _stack is not None else TapeStack(config, (seed,))
+        self._index = _index
         self._blocks: dict[int, _Block] = {}
 
     def _row(self, t: int) -> tuple[_Block, int]:
-        b, i = divmod(t, BLOCK)
+        b, i = divmod(t, self._stack.block_len)
         block = self._blocks.get(b)
         if block is None:
-            block = self._blocks[b] = _fill_block(self.config, self.seed, b)
+            block = self._blocks[b] = _Block(*(array[self._index] for array in self._stack.block(b)))
         return block, i
 
     def batch(self, t: int) -> MaterialBatch:
@@ -188,7 +256,7 @@ class InputTape:
 
     def head_quantities(self, n: int) -> np.ndarray:
         """(n, 4) quantities of the head batches sorted at steps 0 .. n-1."""
-        blocks = [self._row(t)[0].quantities for t in range(0, n, BLOCK)]
+        blocks = [self._row(t)[0].quantities for t in range(0, n, self._stack.block_len)]
         return np.concatenate(blocks)[:n] if blocks else np.empty((0, N_MATERIALS))
 
 
@@ -320,58 +388,72 @@ def sort_batch(
 
 
 @functools.lru_cache(maxsize=64)
-def _season(period: int, amplitude: float, g0: int) -> np.ndarray:
-    """(BLOCK, 4) seasonal factors of :func:`generate_input` for the steps
-    g0 .. g0 + BLOCK - 1.  They do not depend on the seed, so the tapes of
+def _season(period: int, amplitude: float, g0: int, count: int) -> np.ndarray:
+    """(count, 4) seasonal factors of :func:`generate_input` for the steps
+    g0 .. g0 + count - 1.  They do not depend on the seed, so the tapes of
     many seeds share one read-only copy."""
-    phases = [_TWO_PI * g / period for g in range(g0, g0 + BLOCK)]
+    phases = [_TWO_PI * g / period for g in range(g0, g0 + count)]
     sines = np.array([math.sin(phase + shift) for phase in phases for shift in _SEASON_SHIFTS])
-    season = 1.0 + amplitude * sines.reshape(BLOCK, N_MATERIALS)
+    season = 1.0 + amplitude * sines.reshape(count, N_MATERIALS)
     season.flags.writeable = False
     return season
 
 
-def _fill_block(config: EnvConfig, seed: int, b: int) -> _Block:
-    """Block b of the tape of (config, seed): :func:`generate_input` for the
-    head batches, the jitters and :func:`sort_batch` under both actions, for
-    the steps t = b * BLOCK .. (b + 1) * BLOCK - 1, in one numpy pass.
+def _head_batches(config: EnvConfig, seeds: Sequence[int], g0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`generate_input` for the steps g0 .. g0 + count - 1 of every
+    seed in ``seeds``, in one numpy pass: quantities (S, count, 4) and
+    totals (S, count).
 
     Each array operation is the scalar path's operation applied elementwise
-    in the same order (sums left to right, branches as ``np.where``), so
-    every entry is bit-identical to the scalar reference.  ``math.sin`` stays
-    scalar, because ``np.sin`` may differ from libm in the last place.
+    in the same order (sums left to right, the weight floor as
+    ``np.where``), so every entry is bit-identical to the scalar reference,
+    whatever the other seeds.  ``math.sin`` stays scalar, because ``np.sin``
+    may differ from libm in the last place; the seasonal factors broadcast
+    over the seeds.
     """
-    t0 = b * BLOCK
-    # generate_input over the steps t - belt_delay
-    g0 = t0 - config.belt_delay
-    u0 = noise_block(seed, Stream.INPUT_SIZE, g0, BLOCK, 1)[:, 0]
+    u0 = noise_block(seeds, Stream.INPUT_SIZE, g0, count, 1)[..., 0]
     total = config.batch_min + u0 * (config.batch_max - config.batch_min)
-    season = _season(config.seasonal_period, config.seasonal_amplitude, g0)
-    w = noise_block(seed, Stream.INPUT_MIX, g0, BLOCK, N_MATERIALS) * season
+    season = _season(config.seasonal_period, config.seasonal_amplitude, g0, count)
+    w = noise_block(seeds, Stream.INPUT_MIX, g0, count, N_MATERIALS) * season
     w = np.where(w > 0.01, w, 0.01)
-    wsum = ((w[:, 0] + w[:, 1]) + w[:, 2]) + w[:, 3]
-    quantities = total[:, None] * w / wsum[:, None]
-    totals = ((quantities[:, 0] + quantities[:, 1]) + quantities[:, 2]) + quantities[:, 3]
-    jitters = (2.0 * noise_block(seed, Stream.JITTER, t0, BLOCK, N_MATERIALS) - 1.0) * config.accuracy_jitter
+    wsum = ((w[..., 0] + w[..., 1]) + w[..., 2]) + w[..., 3]
+    quantities = total[..., None] * w / wsum[..., None]
+    totals = ((quantities[..., 0] + quantities[..., 1]) + quantities[..., 2]) + quantities[..., 3]
+    return quantities, totals
 
-    # sort_batch, with (step, action) as the trailing axes of every station
-    # value; a residual broadcasts over the action until its first sort
+
+def _fill_block(config: EnvConfig, seeds: Sequence[int], t0: int, steps: int) -> _Block:
+    """The block of the tapes of (config, seed) for every seed in ``seeds``
+    that holds the steps t = t0 .. t0 + steps - 1: the head batches
+    (:func:`_head_batches`), the jitters and :func:`sort_batch` under both
+    actions, in one numpy pass.  Every array has the seed on its leading
+    axis.
+
+    As in :func:`_head_batches`, each array operation is the scalar path's
+    applied elementwise in the same order (branches as ``np.where``), so
+    every entry is bit-identical to the scalar reference.
+    """
+    quantities, totals = _head_batches(config, seeds, t0 - config.belt_delay, steps)
+    jitters = (2.0 * noise_block(seeds, Stream.JITTER, t0, steps, N_MATERIALS) - 1.0) * config.accuracy_jitter
+
+    # sort_batch, with (seed, step) leading and the action trailing on every
+    # station value; a residual broadcasts over the action until its first sort
     load = totals / config.batch_max
     load = np.where(load > 1.0, 1.0, load)
-    wear = (1.0 - config.degradation_coeff * load * load)[:, None]
+    wear = (1.0 - config.degradation_coeff * load * load)[..., None]
     kappa = config.contamination_coeff
-    residual = [quantities[:, j, None] for j in range(N_MATERIALS)]
-    deposits = np.zeros((BLOCK, N_CONTAINERS, N_MATERIALS, 2))
-    accuracies = np.empty((BLOCK, N_MATERIALS, 2))
+    residual = [quantities[..., j, None] for j in range(N_MATERIALS)]
+    deposits = np.zeros((len(seeds), steps, N_CONTAINERS, N_MATERIALS, 2))
+    accuracies = np.empty((len(seeds), steps, N_MATERIALS, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(N_MATERIALS):
             base = np.array([1.0 - config.boost_noise if m in BOOSTED_BY_MODE[a] else config.baseline_accuracy for a in (0, 1)])
-            acc = base * wear + jitters[:, m, None]
+            acc = base * wear + jitters[..., m, None]
             acc = np.where(acc < 0.0, 0.0, np.where(acc > 1.0, 1.0, acc))
-            accuracies[:, m] = acc
+            accuracies[..., m, :] = acc
             processed = residual[m]
             own = acc * processed
-            deposits[:, m, m] = own
+            deposits[..., m, m, :] = own
             residual[m] = processed - own
             false_volume = (1.0 - acc) * kappa * processed
             others = [j for j in range(N_MATERIALS) if j != m]
@@ -383,12 +465,12 @@ def _fill_block(config: EnvConfig, seed: int, b: int) -> _Block:
             frac = np.where(frac > 1.0, 1.0, frac)
             for j in others:
                 grabbed = frac * residual[j]
-                deposits[:, m, j] = np.where(grab, grabbed, 0.0)
+                deposits[..., m, j, :] = np.where(grab, grabbed, 0.0)
                 residual[j] = np.where(grab, residual[j] - grabbed, residual[j])
     for j in range(N_MATERIALS):
-        deposits[:, CONTAINER_E, j] = residual[j]
-    d = deposits[:, :N_MATERIALS]
-    deposit_totals = ((d[:, :, 0] + d[:, :, 1]) + d[:, :, 2]) + d[:, :, 3]
+        deposits[..., CONTAINER_E, j, :] = residual[j]
+    d = deposits[..., :N_MATERIALS, :, :]
+    deposit_totals = ((d[..., 0, :] + d[..., 1, :]) + d[..., 2, :]) + d[..., 3, :]
     return _Block(quantities, totals, jitters, deposits, deposit_totals, accuracies)
 
 

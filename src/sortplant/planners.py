@@ -11,13 +11,17 @@ what :func:`episode_reward` (the scalar reference path) returns for each.  The
 GA scores each generation's new candidates in one call in this process; BF
 scores its codes in chunks of ``BRUTE_FORCE_CHUNK`` and can spread code ranges
 over worker processes.
+
+Given a :class:`~sortplant.env.TapeStack` instead of one tape, the same call
+scores columns that play different seeds: ``tape_of_col[i]`` is the index
+into the stack's seeds of the seed column i plays.  The benchmark scores the
+R and RB cells of many seeds this way.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -25,11 +29,17 @@ import numpy as np
 
 from .baselines import run_policy
 from .config import EnvConfig
-from .env import CONTAINER_E, N_CONTAINERS, N_MATERIALS, ContractViolation, InputTape, advance, reset
+from .env import CONTAINER_E, N_CONTAINERS, N_MATERIALS, ContractViolation, InputTape, TapeStack, advance, reset
 from .rng import derive_seed
 from .trajio import Transition
 
 BRUTE_FORCE_CAP = 20
+# 100x the default population: a generation is scored in one call whose
+# state arrays grow with the population
+MAX_POPULATION = 10_000
+# 400x the default: generations run one after another, so a larger value
+# only makes a run hang
+MAX_GENERATIONS = 10_000
 # codes per evaluate_population call in brute_force: larger chunks bought
 # little speed and pushed the peak memory of long searches up
 BRUTE_FORCE_CHUNK = 256
@@ -45,10 +55,10 @@ class GaParams:
     ga_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ContractViolation("population must be >= 2")
-        if self.generations < 0:
-            raise ContractViolation("generations must be >= 0")
+        if not 2 <= self.population <= MAX_POPULATION:
+            raise ContractViolation(f"population must lie in [2, {MAX_POPULATION}], got {self.population}")
+        if not 0 <= self.generations <= MAX_GENERATIONS:
+            raise ContractViolation(f"generations must lie in [0, {MAX_GENERATIONS}], got {self.generations}")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ContractViolation("crossover_rate must lie in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -88,15 +98,24 @@ def episode_reward(config: EnvConfig, seed: int, actions: Sequence[int], tape: O
     return total
 
 
-def evaluate_population(tape: InputTape, bits: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+def evaluate_population(
+    tapes: InputTape | TapeStack, bits: Sequence[Sequence[int]] | np.ndarray, tape_of_col: Optional[Sequence[int] | np.ndarray] = None
+) -> np.ndarray:
     """Frozen-seed rewards of P action sequences scored together.
 
-    ``bits`` is a (P, n) 0/1 matrix; entry i of the result equals
-    ``episode_reward(tape.config, tape.seed, bits[i], tape)`` bit for bit.
-    The P episodes step through numpy state arrays with the population on the
-    last axis: contents (5, 4, P), pending_since (5, P) with -1 for "not
-    waiting", busy_until (n_presses, P).  Sorts come from
-    :meth:`InputTape.sorted_deposits`.  The rules of
+    ``bits`` is a (P, n) 0/1 matrix.  With one tape, entry i of the result
+    equals ``episode_reward(tape.config, tape.seed, bits[i], tape)`` bit for
+    bit.  With a :class:`~sortplant.env.TapeStack`, ``tape_of_col[i]`` is
+    the index into ``tapes.seeds`` of the seed that column i plays, and entry
+    i equals the episode reward of ``bits[i]`` on that seed's tape; one call
+    thus scores many seeds.  ``tape_of_col`` defaults to all zeros, the
+    first (or only) tape.
+
+    The P episodes step through numpy state arrays with the population on
+    the last axis: contents (5, 4, P), pending_since (5, P) with -1 for "not
+    waiting", busy_until (n_presses, P).  Each step reads both sorts of every
+    tape (``sorted_deposits``) and gathers column i's deposits at
+    ``2 * tape_of_col[i] + bits[i, t]``.  The rules of
     :func:`update_containers_and_presses` and :func:`compute_reward` are
     mirrored operation for operation:
 
@@ -106,19 +125,28 @@ def evaluate_population(tape: InputTape, bits: Sequence[Sequence[int]] | np.ndar
       (``x * 1.0`` and ``x * 0.0`` reproduce the scalar additions exactly);
     - presses are served in order, each idle press taking the waiting
       container with the least (pending_since, index), so a press takes at
-      most one job per step;
+      most one job per step; a press that no column has idle is skipped;
     - an empty container adds 0.0 to the step reward.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ContractViolation(f"bits must be a (P, n) matrix, got {bits.ndim} dimension(s)")
     pop, n = bits.shape
-    config = tape.config
+    config = tapes.config
     if n > config.episode_len:
         raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
     if ((bits != 0) & (bits != 1)).any():
         raise ContractViolation("actions must be 0 or 1")
-    actions = bits.astype(np.intp)
+    width = len(tapes.seeds) if isinstance(tapes, TapeStack) else 1
+    if tape_of_col is None:
+        tape_of_col = np.zeros(pop, dtype=np.intp)
+    tape_of_col = np.asarray(tape_of_col)
+    if tape_of_col.shape != (pop,) or tape_of_col.dtype.kind not in "iu":
+        raise ContractViolation(f"tape_of_col must hold one integer per column, got shape {tape_of_col.shape}")
+    if ((tape_of_col < 0) | (tape_of_col >= width)).any():
+        raise ContractViolation(f"tape_of_col must index one of {width} tape(s)")
+    # column i reads entry 2 * tape + action of each step's sort table
+    table_cols = bits.astype(np.intp) + 2 * tape_of_col.astype(np.intp)[:, None]
 
     capacity = config.container_capacity
     threshold = config.pressing_threshold
@@ -138,10 +166,10 @@ def evaluate_population(tape: InputTape, bits: Sequence[Sequence[int]] | np.ndar
     total = np.zeros(pop)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(n):
-            table, table_totals = tape.sorted_deposits(t)
-            action = actions[:, t]
-            deposits = table[:, :, action]
-            dep_total = table_totals[:, action]
+            table, table_totals = tapes.sorted_deposits(t)
+            cols = table_cols[:, t]
+            deposits = table[:, :, cols]
+            dep_total = table_totals[:, cols]
 
             # deposits: containers A-D are independent of each other, but E
             # takes their overflow in container order, then its own deposit
@@ -162,8 +190,11 @@ def evaluate_population(tape: InputTape, bits: Sequence[Sequence[int]] | np.ndar
             if waiting.any():
                 key = np.where(waiting, pending * N_CONTAINERS + rank, not_waiting)
                 for p in range(config.n_presses):
+                    idle = busy[p] <= t
+                    if not idle.any():
+                        continue
                     first = key.argmin(axis=0)
-                    take = (busy[p] <= t) & (key[first, columns] != not_waiting)
+                    take = idle & (key[first, columns] != not_waiting)
                     rows, cols = first[take], columns[take]
                     contents[rows, :, cols] = 0.0
                     fill[rows, cols] = 0.0
@@ -242,6 +273,10 @@ def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
         raise ContractViolation(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(jobs) < 2:
         return [fn(*job) for job in jobs]
+    # imported here: the pool machinery costs about 0.6 MB of resident
+    # memory, which a run that never opens a pool should not pay
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 

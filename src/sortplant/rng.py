@@ -8,6 +8,7 @@ planner evaluate many action sequences against the same frozen future.
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
@@ -50,19 +51,19 @@ def noise_draw(seed: int, stream: int, t: int, channel: int) -> float:
     return (u >> 11) * _INV_2_53
 
 
-def noise_block(seed: int, stream: int, t0: int, steps: int, channels: int) -> np.ndarray:
-    """Array twin of :func:`noise_draw`: entry ``[i, c]`` is
-    ``noise_draw(seed, stream, t0 + i, c)`` bit for bit.
+def noise_block(seeds: Sequence[int], stream: int, t0: int, steps: int, channels: int) -> np.ndarray:
+    """Array twin of :func:`noise_draw` over many seeds: entry ``[k, i, c]``
+    is ``noise_draw(seeds[k], stream, t0 + i, c)`` bit for bit.
 
     The SplitMix64 rounds run in numpy ``uint64``, whose arithmetic wraps mod
-    2**64 as the masked integer rounds do; the (seed, stream) prefix is mixed
-    once in Python.  ``t0`` may be any integer: only its low 64 bits enter.
+    2**64 as the masked integer rounds do; each seed's (seed, stream) prefix
+    is mixed once in Python.  ``t0`` may be any integer: only its low 64 bits
+    enter.
     """
-    key = mix64(mix64(seed & _MASK64) ^ int(stream))
+    keys = np.array([mix64(mix64(seed & _MASK64) ^ int(stream)) for seed in seeds], dtype=np.uint64)
     ts = np.arange(steps, dtype=np.uint64)
     ts += np.uint64(t0 & _MASK64)
-    ts ^= np.uint64(key)
-    z = _mix64_array(ts)[:, None] ^ np.arange(channels, dtype=np.uint64)
+    z = _mix64_array(keys[:, None] ^ ts)[:, :, None] ^ np.arange(channels, dtype=np.uint64)
     return (_mix64_array(z) >> _U11).astype(np.float64) * _INV_2_53
 
 

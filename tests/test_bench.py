@@ -6,18 +6,21 @@ import math
 
 import pytest
 
+from sortplant import bench
 from sortplant.config import ConfigError, EnvConfig
 from sortplant.env import ContractViolation, InputTape
 from sortplant.baselines import make_policy, random_actions, rule_based_actions, run_policy
 from sortplant.bench import (
+    STACK_SEEDS,
     BenchSpec,
     emit_outputs,
     evaluate_strategy,
     load_external_scores,
     run_bench,
+    score_open_loop,
     summarize,
 )
-from sortplant.planners import GaParams, brute_force, episode_reward
+from sortplant.planners import BRUTE_FORCE_CAP, GaParams, brute_force, episode_reward
 
 CFG = EnvConfig()
 SMALL_GA = GaParams(population=10, generations=3, ga_seed=2)
@@ -137,6 +140,50 @@ def test_workers_do_not_change_results():
     parallel = run_bench(CFG, spec, workers=2)
     assert serial.per_seed == parallel.per_seed
     assert serial.summaries == parallel.summaries
+
+
+@pytest.mark.parametrize("horizon", [1, 37, 100, 130])
+@pytest.mark.parametrize("count", [1, STACK_SEEDS, STACK_SEEDS + 1], ids=["one", "stack", "stack-plus-one"])
+def test_stacked_cells_are_independent_of_worker_count(count, horizon, tmp_path):
+    # 130 steps cross a block boundary; BF joins the horizons it may run
+    cfg = EnvConfig(episode_len=130)
+    strategies = ("RB", "BF", "R") if horizon <= BRUTE_FORCE_CAP else ("RB", "R")
+    seeds = tuple(range(999, 999 - 7 * count, -7))
+    spec = BenchSpec(strategies=strategies, seeds=seeds, horizon=horizon, ga_params=SMALL_GA)
+    written = {}
+    for workers in (1, 2):
+        emit_outputs(run_bench(cfg, spec, workers=workers), tmp_path / str(workers), cfg)
+        written[workers] = (tmp_path / str(workers) / "per_seed.csv").read_bytes()
+    assert written[1] == written[2]
+    # a stacked cell scores what the cell scores alone, as a stack of one
+    rows = [line.split(",") for line in written[1].decode().splitlines()[1:]]
+    assert [row[0] for row in rows] == [s for s in strategies for _ in seeds]
+    for strategy, seed, reward in rows:
+        if strategy != "BF":
+            alone, _ = evaluate_strategy(strategy, cfg, int(seed), horizon, SMALL_GA)
+            assert float(reward).hex() == alone.hex()
+
+
+def test_open_loop_cells_are_scored_in_stacks(monkeypatch):
+    stacks = []
+    real = bench.evaluate_population
+
+    def recording(tapes, bits, tape_of_col):
+        stacks.append((len(tapes.seeds), len(bits)))
+        return real(tapes, bits, tape_of_col)
+
+    monkeypatch.setattr(bench, "evaluate_population", recording)
+    count = 2 * STACK_SEEDS + 1
+    run_bench(CFG, BenchSpec(strategies=("R", "RB"), seeds=tuple(range(count)), horizon=5))
+    # one call per stack of at most STACK_SEEDS seeds, both strategies in it
+    assert len(stacks) == 3
+    assert sum(size for size, _ in stacks) == count
+    assert all(size <= STACK_SEEDS and columns == 2 * size for size, columns in stacks)
+
+
+def test_score_open_loop_rejects_planners():
+    with pytest.raises(ContractViolation, match="not an open-loop strategy"):
+        score_open_loop(CFG, (0, 1), ("R", "GA"), 5)
 
 
 def test_external_scores_merge(tmp_path):

@@ -219,3 +219,48 @@ def test_demo_gen_rejects_non_finite_margin(margin, tmp_path, capsys):
     assert main(argv) == 1
     assert "--min-improvement must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each cap is lowered for the test, so a regressed check meets only a small
+# range, never a huge one.
+@pytest.mark.parametrize(
+    "patch, argv, message",
+    [
+        (("demo", "BENCH_SEED_LIMIT", 5), ["bench", "--strategies", "R", "--seeds", "3..8", "--len", "3"], "outside [0, 5)"),
+        (("demo", "BENCH_SEED_LIMIT", 5), ["bench", "--strategies", "R", "--seeds", "1,7", "--len", "3"], "outside [0, 5)"),
+        (("demo", "BENCH_SEED_LIMIT", 5), ["bench", "--strategies", "R", "--seeds=-2..1", "--len", "3"], "outside [0, 5)"),
+        (("demo", "MAX_CAMPAIGN_SEEDS", 3), ["demo-gen", "--seeds", "1000..1004", "--pop", "4", "--gens", "1"], "names 4 seeds; at most 3"),
+        (("demo", "MAX_CAMPAIGN_SEEDS", 3), ["demo-gen", "--seeds", "1000,1001,1002,1003", "--pop", "4", "--gens", "1"], "at most 3"),
+        (("planners", "MAX_POPULATION", 8), ["demo-gen", "--seeds", "1000", "--pop", "9", "--gens", "1"], "population must lie in [2, 8]"),
+        (("planners", "MAX_POPULATION", 8), ["ga", "--seed", "1", "--len", "4", "--pop", "9", "--gens", "1"], "population must lie in"),
+        (("planners", "MAX_GENERATIONS", 2), ["ga", "--seed", "1", "--len", "4", "--pop", "4", "--gens", "3"], "generations must lie in [0, 2]"),
+    ],
+    ids=[
+        "bench-range-outside-pool",
+        "bench-list-outside-pool",
+        "bench-negative-range",
+        "demo-gen-range-over-cap",
+        "demo-gen-list-over-cap",
+        "demo-gen-pop-over-cap",
+        "ga-pop-over-cap",
+        "ga-gens-over-cap",
+    ],
+)
+def test_caps_are_usage_errors(patch, argv, message, tmp_path, capsys, monkeypatch):
+    module, name, value = patch
+    monkeypatch.setattr(f"sortplant.{module}.{name}", value)
+    out = tmp_path / "out"
+    if argv[0] != "ga":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_spec_bounds_are_checked_before_building():
+    assert parse_seed_spec("3..6", 3, range(3, 6)) == [3, 4, 5]
+    assert parse_seed_spec("5,3", 2, range(3, 6)) == [5, 3]
+    with pytest.raises(UsageError, match="names 4 seeds"):
+        parse_seed_spec("3..7", 3)
+    with pytest.raises(UsageError, match="outside"):
+        parse_seed_spec("2..4", 3, range(3, 6))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortplant.cli import main
 from sortplant.config import EnvConfig
@@ -90,6 +93,31 @@ def test_campaign_is_independent_of_worker_count(campaign, tmp_path):
     assert sorted(p.name for p in pooled.iterdir()) == sorted(p.name for p in out.iterdir())
     for path in sorted(out.iterdir()):
         assert (pooled / path.name).read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    seeds=st.lists(st.integers(1000, 10**6), min_size=1, max_size=3, unique=True),
+    episode_len=st.integers(1, 12),
+    ga_seed=st.integers(0, 2**31),
+    margin=st.sampled_from([-10.0, 0.0, 0.15, 10.0]),
+)
+def test_campaign_output_does_not_depend_on_worker_count(seeds, episode_len, ga_seed, margin):
+    cfg = EnvConfig(episode_len=episode_len)
+    params = GaParams(population=4, generations=2, ga_seed=ga_seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = []
+        for workers in (1, 2):
+            out = Path(tmp) / str(workers)
+            run_campaign(cfg, seeds, params, min_improvement=margin, out_dir=out, workers=workers)
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert trees[0] == trees[1]
+
+
+def test_campaign_seed_cap(monkeypatch):
+    monkeypatch.setattr("sortplant.demo.MAX_CAMPAIGN_SEEDS", 2)
+    with pytest.raises(ContractViolation, match="1 to 2 seeds, got 3"):
+        run_campaign(SMALL_CFG, [1000, 1001, 1002], SMALL_GA, out_dir="unused")
 
 
 def test_campaign_rejects_benchmark_seeds():

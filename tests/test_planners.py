@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
-from sortplant.env import ContractViolation, InputTape
+from sortplant.env import ContractViolation, InputTape, TapeStack
+from sortplant import planners
 from sortplant.baselines import make_policy, run_policy
 from sortplant.planners import (
     GaParams,
@@ -170,6 +171,48 @@ def test_evaluate_population_is_bit_identical_to_episode_reward(cfg, seed, bits)
     assert [float(r).hex() for r in rewards] == [episode_reward(cfg, seed, row).hex() for row in bits]
 
 
+@st.composite
+def stacked_columns(draw):
+    """(seeds, bits, tape_of_col): a stack of 1-4 seeds and columns drawn over it."""
+    stacked = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True))
+    bits = draw(bit_matrices())
+    tape_of_col = draw(st.lists(st.integers(0, len(stacked) - 1), min_size=len(bits), max_size=len(bits)))
+    return stacked, bits, tape_of_col
+
+
+def _pinned_stacked_press_regimes(test):
+    for _, overrides, *_ in PINNED_REGIMES:
+        bits = [PINNED_ACTIONS, [1 - b for b in PINNED_ACTIONS], [0] * len(PINNED_ACTIONS), PINNED_ACTIONS]
+        test = example(cfg=EnvConfig(**overrides), columns=([11, 12, 13], bits, [0, 2, 1, 2]))(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=gate_configs, columns=stacked_columns())
+@_pinned_stacked_press_regimes
+def test_stacked_evaluate_population_is_bit_identical_to_episode_reward(cfg, columns):
+    stacked, bits, tape_of_col = columns
+    stack = TapeStack(cfg, stacked)
+    rewards = evaluate_population(stack, bits, tape_of_col)
+    expected = [episode_reward(cfg, stacked[k], row).hex() for k, row in zip(tape_of_col, bits)]
+    assert [float(r).hex() for r in rewards] == expected
+    # the stack keeps one block, so a second pass refills the first blocks
+    assert [float(r).hex() for r in evaluate_population(stack, bits, tape_of_col)] == expected
+
+
+@pytest.mark.parametrize(
+    "tape_of_col, match",
+    [([0, 3], "index one of 3"), ([0, -1], "index one of 3"), ([0], "one integer per column"), ([0.0, 1.0], "one integer per column")],
+    ids=["past-last-tape", "negative", "too-few", "float"],
+)
+def test_evaluate_population_tape_of_col_contract(tape_of_col, match):
+    bits = [[0, 1], [1, 1]]
+    with pytest.raises(ContractViolation, match=match):
+        evaluate_population(TapeStack(CFG, (0, 1, 2)), bits, tape_of_col)
+    with pytest.raises(ContractViolation, match="index one of 1"):
+        evaluate_population(InputTape(CFG, 0), bits, [0, 1])
+
+
 @pytest.mark.parametrize(
     "bits, match",
     [
@@ -268,6 +311,16 @@ def test_ga_stats_are_internally_consistent():
     result = ga_optimize(CFG, 3, 8, GaParams(population=10, generations=5, ga_seed=1))
     for stats in [result.initial_stats] + result.per_generation:
         assert stats.min_reward <= stats.mean_reward <= stats.max_reward
+
+
+@pytest.mark.parametrize(
+    "cap, field", [("MAX_POPULATION", "population"), ("MAX_GENERATIONS", "generations")], ids=["population", "generations"]
+)
+def test_ga_params_upper_bounds(cap, field, monkeypatch):
+    monkeypatch.setattr(planners, cap, 6)
+    GaParams(**{field: 6})
+    with pytest.raises(ContractViolation, match=f"{field} must lie in"):
+        GaParams(**{field: 7})
 
 
 def test_ga_rejects_bad_params():

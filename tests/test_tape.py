@@ -1,5 +1,6 @@
 """Array-backed input tape: every block entry against the scalar reference
-path, and a cost bounded by the blocks a run touches."""
+path, stacked tapes against one-seed tapes, and a cost bounded by the blocks
+a run touches."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from sortplant.cli import main
 from sortplant.config import EnvConfig
-from sortplant.env import BLOCK, InputTape, generate_input, sort_batch
+from sortplant.env import BLOCK, InputTape, TapeStack, _fill_block, generate_input, sort_batch
 from sortplant.rng import Stream, noise_block, noise_draw
 
 
@@ -90,8 +91,39 @@ def test_tape_block_matches_scalar_reference(cfg, seed, t):
 @given(seed=seeds, stream=st.sampled_from(list(Stream)), t0=st.integers(-(2**70), 2**70))
 @example(seed=0, stream=Stream.POLICY, t0=2**64 - 2)
 def test_noise_block_matches_noise_draw(seed, stream, t0):
-    block = noise_block(seed, stream, t0, 4, 3)
-    assert block.tolist() == [[noise_draw(seed, stream, t0 + i, c) for c in range(3)] for i in range(4)]
+    stacked = (seed, seed ^ 1, -seed)
+    block = noise_block(stacked, stream, t0, 4, 3)
+    assert block.shape == (3, 4, 3)
+    assert block.tolist() == [[[noise_draw(s, stream, t0 + i, c) for c in range(3)] for i in range(4)] for s in stacked]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=tape_configs, stacked=st.lists(seeds, min_size=1, max_size=5), t=st.integers(-4 * BLOCK, 4 * BLOCK))
+@example(cfg=EnvConfig(belt_delay=0), stacked=[0, 2**64 - 1, -7], t=0)
+@example(cfg=EnvConfig(belt_delay=1, accuracy_jitter=0.0), stacked=[-3, -3, 0], t=-1)
+@example(cfg=EnvConfig(belt_delay=10**30), stacked=[2**64 - 1, 0, 5, -(2**70)], t=BLOCK)
+def test_stacked_fill_matches_one_seed_tapes(cfg, stacked, t):
+    # every array of a stacked block, seed by seed, is the one-seed tape's block
+    t0 = t // BLOCK * BLOCK
+    block = _fill_block(cfg, stacked, t0, BLOCK)
+    for k, seed in enumerate(stacked):
+        own = _fill_block(cfg, (seed,), t0, BLOCK)
+        for name, array in zip(block._fields, block):
+            assert hexes(array[k]) == hexes(getattr(own, name)[0]), name
+    # and the stack's per-step tables, head batches and per-seed tapes agree
+    stack = TapeStack(cfg, stacked)
+    deposits, totals = stack.sorted_deposits(t)
+    n = 2 * BLOCK
+    heads = stack.head_quantities(n)
+    for k, seed in enumerate(stacked):
+        tape = InputTape(cfg, seed)
+        own_deposits, own_totals = tape.sorted_deposits(t)
+        assert hexes(deposits[:, :, 2 * k : 2 * k + 2]) == hexes(own_deposits)
+        assert hexes(totals[:, 2 * k : 2 * k + 2]) == hexes(own_totals)
+        assert hexes(heads[k]) == hexes(tape.head_quantities(n))
+        view = stack.tape(k)
+        assert hexes(view.sorted_deposits(t)[0]) == hexes(own_deposits)
+        assert view.batch(t) == tape.batch(t) and view.jitters(t) == tape.jitters(t)
 
 
 def test_short_simulate_fills_only_the_blocks_it_reads(drawn_steps, tmp_path, capsys):
