@@ -37,11 +37,11 @@ def random_actions(policy_seed: int, n: int) -> list[int]:
     return (noise_block((policy_seed,), Stream.POLICY, 0, n, 1)[0, :, 0] >= 0.5).astype(int).tolist()
 
 
-def rule_based_actions(tapes: InputTape | TapeStack, n: int) -> list:
-    """The rule-based policy's actions for steps 0 .. n-1: it reads only the
-    head batch, so its actions are a function of the tape alone.  A tape
-    gives one list of n actions, a stack one such list per seed."""
-    q = tapes.head_quantities(n)
+def rule_based_actions(stack: TapeStack, n: int) -> list[list[int]]:
+    """The rule-based policy's actions for steps 0 .. n-1, one list of n
+    actions per seed of the stack: the policy reads only the head batch, so
+    its actions are a function of the tape alone.  No block is filled."""
+    q = stack.head_quantities(n)
     return np.where(q[..., 0] + q[..., 2] >= q[..., 1] + q[..., 3], 0, 1).tolist()
 
 

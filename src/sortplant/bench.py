@@ -9,7 +9,8 @@ known before the episode runs, and the reward of a sequence is what the
 closed-loop run would earn.  :func:`run_bench` therefore scores the R and RB
 cells of up to ``STACK_SEEDS`` seeds in one
 :func:`~sortplant.planners.evaluate_population` call over one
-:class:`~sortplant.env.TapeStack`, which both strategies share.  Scores from
+:class:`~sortplant.env.TapeStack`, which both strategies share; BF and GA
+make the same calls on a stack of their one seed.  Scores from
 external agents can be merged from a file so downstream results land in the
 same tables.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +46,9 @@ STRATEGIES = ("R", "RB", "BF", "GA")
 OPEN_LOOP = ("R", "RB")
 # seeds per TapeStack in run_bench, so R and RB cells per evaluate_population
 # call are at most twice this.  The per-step cost of that call barely grows
-# with its width, while the stack's working set grows with STACK_SEEDS x
-# env.BLOCK; see ROADMAP item 2 for the measured time and peak memory
+# with its width, and the stack's working set is one block of about
+# env.STACK_ROWS seed-steps (STACK_ROWS // STACK_SEEDS steps of each seed);
+# see ROADMAP item 2 for the measured time and peak memory
 STACK_SEEDS = 25
 
 PER_SEED_HEADER = "strategy,seed,reward"
@@ -100,7 +103,8 @@ def evaluate_strategy(
     strategy: str, config: EnvConfig, seed: int, horizon: int, ga_params: GaParams
 ) -> tuple[float, Optional[tuple[GenStats, list[GenStats]]]]:
     """Cumulative reward of one strategy on one seed; GA also returns its
-    per-generation curve.  An R or RB cell is a stack of one seed."""
+    per-generation curve.  Every strategy scores on a stack of this seed
+    alone: R and RB here, BF and GA inside their planners."""
     if strategy in OPEN_LOOP:
         return score_open_loop(config, (seed,), (strategy,), horizon)[0], None
     if strategy == "BF":
@@ -185,23 +189,34 @@ def summarize(rewards: Sequence[float]) -> Summary:
 
 
 def load_external_scores(path: Union[str, Path]) -> dict[str, list[tuple[int, float]]]:
-    """Read merged-in scores: a CSV with header strategy,seed,reward."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    """Read merged-in scores: a UTF-8 CSV with header strategy,seed,reward,
+    one row per (strategy, seed), each with a nonempty strategy name and a
+    finite reward.  Anything else raises :class:`ConfigError`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"external scores file {path} is not UTF-8: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != PER_SEED_HEADER:
         raise ConfigError(f"external scores file must start with header '{PER_SEED_HEADER}'")
-    scores: dict[str, list[tuple[int, float]]] = {}
+    scores: dict[str, dict[int, float]] = {}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise ConfigError(f"malformed external score row: {ln!r}")
         name, seed_s, reward_s = (p.strip() for p in parts)
         try:
-            scores.setdefault(name, []).append((int(seed_s), float(reward_s)))
+            seed, reward = int(seed_s), float(reward_s)
         except ValueError as exc:
             raise ConfigError(f"malformed external score row: {ln!r}") from exc
-    for name in scores:
-        scores[name].sort()
-    return scores
+        if not name:
+            raise ConfigError(f"external score row without a strategy name: {ln!r}")
+        if not math.isfinite(reward):
+            raise ConfigError(f"external score row with a non-finite reward: {ln!r}")
+        if seed in scores.setdefault(name, {}):
+            raise ConfigError(f"external scores repeat strategy {name!r} on seed {seed}")
+        scores[name][seed] = reward
+    return {name: sorted(cells.items()) for name, cells in scores.items()}
 
 
 def reward_curve_samples(config: EnvConfig, lo: float = -0.25, hi: float = 0.25, steps: int = 100) -> list[tuple[float, float]]:

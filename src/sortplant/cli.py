@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage or config error, 2 validation failure,
 to files or stdout, and never depend on timing.  --workers N (N >= 1) on
 brute, demo-gen and bench spreads BF code ranges, campaign seeds or bench
 cells over N processes through planners.parallel_map; it changes wall time
-only, never any number.  The GA scores each generation in one batched call,
-so ga takes no --workers.
+only, never any number.  At most os.cpu_count() processes are opened, and
+brute cuts at most that many code ranges, whatever N.  The GA scores each
+generation in one batched call, so ga takes no --workers.
 """
 
 from __future__ import annotations

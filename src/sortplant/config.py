@@ -137,9 +137,12 @@ def _as_float(key: str, value: Any) -> float:
 
 
 def load_config(path: str | Path) -> EnvConfig:
-    """Load and validate a YAML config file; absent keys take the defaults."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = yaml.safe_load(text)
+    """Load and validate a YAML config file; absent keys take the defaults.
+    A file that is not UTF-8 or not YAML raises :class:`ConfigError`."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"config file {path} is not a readable YAML file: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .config import ConfigError, EnvConfig, config_from_mapping, config_to_dict
-from .env import OBS_SIZE, ContractViolation, InputTape
+from .env import OBS_SIZE, ContractViolation, InputTape, TapeStack
 from .baselines import rule_based_actions
 from .planners import GaParams, episode_reward, ga_optimize, ga_seed_for_env, parallel_map, rollout
 from .trajio import Transition, read_transitions, sha256_file, write_transitions
@@ -92,11 +92,13 @@ def generate_demo(
     The GA best sequence is replayed through a fresh rollout to materialize
     the exported transitions; determinism guarantees the replay reproduces
     the optimizer's reward exactly.  The rule-based baseline is scored open
-    loop from the tape, as the benchmark scores it.
+    loop, as the benchmark scores it: its actions come off the head batches
+    of a stack of this seed, and its reward and the replay off one tape.
     """
     n = config.episode_len
     tape = InputTape(config, env_seed)
-    baseline = episode_reward(config, env_seed, rule_based_actions(tape, n), tape)
+    (rb_actions,) = rule_based_actions(TapeStack(config, (env_seed,)), n)
+    baseline = episode_reward(config, env_seed, rb_actions, tape)
     per_env = dataclasses.replace(ga_params, ga_seed=ga_seed_for_env(ga_params.ga_seed, env_seed))
     ga = ga_optimize(config, env_seed, n, per_env)
     if not passes_filter(ga.best_reward, baseline, min_improvement):
@@ -207,7 +209,7 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
         return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-missing", "no manifest in directory")])
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-unparseable", str(exc))])
     if not isinstance(manifest, dict):
         return ValidationReport(False, [Violation(MANIFEST_NAME, "manifest-unparseable", "manifest is not a JSON object")])

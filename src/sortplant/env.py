@@ -14,13 +14,16 @@ pressing threshold are baled by idle presses; the reward is read off the
 post-deposit container purities.
 
 A sort reads only the head batch and the jitters of its step, never plant
-state, so :class:`InputTape` computes every step's inputs, jitters and both
-sorts ahead of the actions, in numpy blocks of ``BLOCK`` steps, and
-:func:`advance` reads its deposits and accuracies off the tape.  A
-:class:`TapeStack` fills the blocks of many seeds that share a config in one
-pass, with the seed on a leading axis; a lone tape is the one-seed case of
-the same fill.  :func:`generate_input` and :func:`sort_batch` remain as the
-scalar reference that the blocks match bit for bit.
+state, so every step's inputs, jitters and both sorts are computed ahead of
+the actions, in numpy blocks (:func:`_fill_block`).  The tape has two
+readers.  :class:`InputTape` is the random-access reader of the closed loop:
+it keeps its blocks of ``BLOCK`` steps, and :func:`advance`,
+:func:`build_observation` and the rule policy read batches and sorts off
+it.  :class:`TapeStack` is the in-order reader of many seeds that share a
+config (one seed for a planner): it fills a block of every seed in one pass,
+with the seed on a leading axis, and serves the batched evaluator.
+:func:`generate_input` and :func:`sort_batch` remain as the scalar reference
+that the blocks match bit for bit.
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ CONTAINER_E = 4
 N_CONTAINERS = 5
 OBS_SIZE = 33
 
-# steps per block of a lone tape: one block covers a default 100-step episode
+# steps per block of an InputTape: one block covers a default 100-step episode
 BLOCK = 128
 # seeds x steps per block of a TapeStack, which holds one block at a time:
-# a stack of S seeds fills blocks of STACK_ROWS // S steps (at most BLOCK),
-# since its peak memory grows with the rows and its fill cost with the
-# number of blocks; see ROADMAP item 2 for the measurements behind the value
+# a stack of S seeds fills blocks of STACK_ROWS // S steps, since its peak
+# memory grows with the rows and its fill cost with the number of blocks (a
+# stack of one covers a GA horizon of up to 400 steps with one fill); see
+# ROADMAP item 2 for the measurements behind the value
 STACK_ROWS = 400
 
 # mode 0 boosts A and C, mode 1 boosts B and D
@@ -125,71 +129,66 @@ class StepResult:
 
 
 class _Block(NamedTuple):
-    """Tape arrays for the steps t = b * L .. (b + 1) * L - 1 of a tape whose
-    blocks hold L steps (``TapeStack.block_len``: ``BLOCK`` for a lone tape).
+    """Tape arrays for the steps t = t0 .. t0 + L - 1 of S seeds, as
+    :func:`_fill_block` returns them, seed on the leading axis.
 
-    Row i is step t = b * L + i: the head batch it sorts (generated at
-    t - belt_delay), its jitters, and both of its sorts.  The last axis of
-    ``deposits``, ``deposit_totals`` and ``accuracies`` is the action.
-    :func:`_fill_block` returns every array with a leading seed axis, which
-    an :class:`InputTape` indexes away.
+    Row i is step t = t0 + i: the head batch it sorts (generated at
+    t - belt_delay) and both of its sorts.  The last axis of ``deposits``,
+    ``deposit_totals`` and ``accuracies`` is the action.
     """
 
-    quantities: np.ndarray  # (L, 4)
-    totals: np.ndarray  # (L,)
-    jitters: np.ndarray  # (L, 4)
-    deposits: np.ndarray  # (L, 5, 4, 2)
-    deposit_totals: np.ndarray  # (L, 4, 2)
-    accuracies: np.ndarray  # (L, 4, 2)
+    quantities: np.ndarray  # (S, L, 4)
+    totals: np.ndarray  # (S, L)
+    deposits: np.ndarray  # (S, L, 5, 4, 2)
+    deposit_totals: np.ndarray  # (S, L, 4, 2)
+    accuracies: np.ndarray  # (S, L, 4, 2)
 
 
 class TapeStack:
     """The input tapes of many seeds that share one config, read together in
     step order.
 
-    Block b of every seed is filled in one numpy pass (:func:`_fill_block`),
-    into arrays with the seed on the leading axis, when a step in it is
-    read.  The stack keeps only the block it filled last, so a pass over the
-    steps in order holds one block of its seeds at a time, whatever the
+    Block b, the steps b * block_len .. (b + 1) * block_len - 1, of every
+    seed is filled in one numpy pass (:func:`_fill_block`) when a step in it
+    is read.  The stack keeps only the block it filled last, so a pass over
+    the steps in order holds one block of its seeds at a time, whatever the
     horizon; a step read again after its block was dropped is filled again,
     to the same values.  :meth:`sorted_deposits` serves
     :func:`~sortplant.planners.evaluate_population` every seed's sorts of one
     step at once, and :meth:`head_quantities` the head batches of a whole
-    horizon without filling any block.  :meth:`tape` hands out one seed's
-    :class:`InputTape`, whose blocks are views into the stacked arrays.
+    horizon without filling any block.
     """
 
-    __slots__ = ("config", "seeds", "block_len", "_b", "_block")
+    __slots__ = ("config", "seeds", "block_len", "_b", "_deposits", "_totals")
 
     def __init__(self, config: EnvConfig, seeds: Sequence[int]) -> None:
         if not seeds:
             raise ContractViolation("a tape stack needs at least one seed")
         self.config = config
         self.seeds = tuple(seeds)
-        self.block_len = max(1, min(BLOCK, STACK_ROWS // len(self.seeds)))
+        self.block_len = max(1, STACK_ROWS // len(self.seeds))
         self._b: Optional[int] = None
-        self._block: Optional[_Block] = None
-
-    def block(self, b: int) -> _Block:
-        """Block b: the steps b * block_len .. (b + 1) * block_len - 1."""
-        if b != self._b:
-            self._block = _fill_block(self.config, self.seeds, b * self.block_len, self.block_len)
-            self._b = b
-        return self._block  # type: ignore[return-value]
-
-    def tape(self, k: int) -> InputTape:
-        """The tape of ``seeds[k]``, filled through this stack."""
-        return InputTape(self.config, self.seeds[k], _stack=self, _index=k)
+        self._deposits = self._totals = np.empty(0)
 
     def sorted_deposits(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Both possible sorts of step t for every seed, as ``(deposits,
-        totals)`` of shapes (5, 4, 2S) and (4, 2S): column 2k + a is seed k
-        under action a, laid out as in :meth:`InputTape.sorted_deposits`."""
+        totals)`` of shapes (5, 4, 2S) and (4, 2S).
+
+        Column 2k + a is seed k under action a: ``deposits[c, j, 2k + a]`` is
+        :func:`sort_batch`'s ``deposits[c][j]`` for that seed's head batch,
+        and ``totals[c, 2k + a]`` that deposit's total for container c of
+        A-D, summed left to right as :func:`update_containers_and_presses`
+        does.  Both are views into the block's tables, which are laid out in
+        this shape once per block.
+        """
         b, i = divmod(t, self.block_len)
-        block = self.block(b)
-        deposits = block.deposits[:, i].transpose(1, 2, 0, 3).reshape(N_CONTAINERS, N_MATERIALS, -1)
-        totals = block.deposit_totals[:, i].transpose(1, 0, 2).reshape(N_MATERIALS, -1)
-        return deposits, totals
+        if b != self._b:
+            steps = self.block_len
+            block = _fill_block(self.config, self.seeds, b * steps, steps)
+            self._deposits = block.deposits.transpose(1, 2, 3, 0, 4).reshape(steps, N_CONTAINERS, N_MATERIALS, -1)
+            self._totals = block.deposit_totals.transpose(1, 2, 0, 3).reshape(steps, N_MATERIALS, -1)
+            self._b = b
+        return self._deposits[i], self._totals[i]
 
     def head_quantities(self, n: int) -> np.ndarray:
         """(S, n, 4) quantities of the head batches sorted at steps 0 .. n-1."""
@@ -197,35 +196,30 @@ class TapeStack:
 
 
 class InputTape:
-    """Every input, jitter and sort of one (config, seed) pair, in blocks.
+    """The input batches and sorts of one (config, seed) pair, read at any
+    step by the closed loop.
 
-    Draws are pure functions of (seed, t), and a sort reads only the head
-    batch and the jitters of its step, so the tape computes them ahead of any
-    action: step t's head batch, jitters and both sorts live in row
-    ``t % BLOCK`` of block ``t // BLOCK`` (with a stack's block length in
-    place of ``BLOCK`` for a tape of a stack).  A block is filled in one numpy
-    pass the first time any of its steps is read, and kept, so a tape costs
-    only the blocks it touches, whatever ``belt_delay`` or ``episode_len``.
-    Every entry equals, bit for bit, what the scalar reference
-    (:func:`generate_input`, :func:`sort_batch`) computes.  The tape keeps
-    views into the blocks of a :class:`TapeStack`: a stack of its own seed
-    alone, or the stack that handed it out (:meth:`TapeStack.tape`).
+    Step t's head batch and both of its sorts live in row ``t % BLOCK`` of
+    block ``t // BLOCK``.  A block is filled in one numpy pass
+    (:func:`_fill_block`) the first time any of its steps is read, and kept,
+    so a tape costs only the blocks it touches, whatever ``belt_delay`` or
+    ``episode_len``.  Every entry equals, bit for bit, what the scalar
+    reference (:func:`generate_input`, :func:`sort_batch`) computes.
     """
 
-    __slots__ = ("config", "seed", "_stack", "_index", "_blocks")
+    __slots__ = ("config", "seed", "_blocks")
 
-    def __init__(self, config: EnvConfig, seed: int, *, _stack: Optional[TapeStack] = None, _index: int = 0) -> None:
+    def __init__(self, config: EnvConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
-        self._stack = _stack if _stack is not None else TapeStack(config, (seed,))
-        self._index = _index
         self._blocks: dict[int, _Block] = {}
 
     def _row(self, t: int) -> tuple[_Block, int]:
-        b, i = divmod(t, self._stack.block_len)
+        b, i = divmod(t, BLOCK)
         block = self._blocks.get(b)
         if block is None:
-            block = self._blocks[b] = _Block(*(array[self._index] for array in self._stack.block(b)))
+            filled = _fill_block(self.config, (self.seed,), b * BLOCK, BLOCK)
+            block = self._blocks[b] = _Block(*(array[0] for array in filled))
         return block, i
 
     def batch(self, t: int) -> MaterialBatch:
@@ -233,31 +227,11 @@ class InputTape:
         block, i = self._row(t + self.config.belt_delay)
         return MaterialBatch(block.quantities[i].tolist(), float(block.totals[i]))
 
-    def jitters(self, t: int) -> tuple[float, float, float, float]:
-        block, i = self._row(t)
-        return tuple(block.jitters[i].tolist())  # type: ignore[return-value]
-
     def sort_outcome(self, t: int, action: int) -> SortOutcome:
         """What :func:`sort_batch` returns for step t's head batch and
         jitters under ``action``."""
         block, i = self._row(t)
         return SortOutcome(block.deposits[i, :, :, action].tolist(), block.accuracies[i, :, action].tolist())
-
-    def sorted_deposits(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Both possible sorts of step t, as ``(deposits, totals)``.
-
-        ``deposits[c, j, a]`` is :func:`sort_batch`'s ``deposits[c][j]``
-        under action a, and ``totals[c, a]`` is that deposit's total for
-        container c of A-D, summed left to right as
-        :func:`update_containers_and_presses` does.
-        """
-        block, i = self._row(t)
-        return block.deposits[i], block.deposit_totals[i]
-
-    def head_quantities(self, n: int) -> np.ndarray:
-        """(n, 4) quantities of the head batches sorted at steps 0 .. n-1."""
-        blocks = [self._row(t)[0].quantities for t in range(0, n, self._stack.block_len)]
-        return np.concatenate(blocks)[:n] if blocks else np.empty((0, N_MATERIALS))
 
 
 @dataclass
@@ -348,9 +322,9 @@ def sort_batch(
     most, which is what gives the majority-pair heuristic its edge over
     random play.
 
-    ``jitters`` is the per-station accuracy jitter; in an episode it is
-    ``InputTape.jitters(t)``, drawn by the tape, the one place the jitter
-    stream is drawn.
+    ``jitters`` is the per-station accuracy jitter.  In an episode it is
+    step t's draw from the jitter stream, which :func:`_fill_block` makes,
+    the one place that stream is drawn.
     """
     load = batch.total / config.batch_max
     if load > 1.0:
@@ -425,9 +399,9 @@ def _head_batches(config: EnvConfig, seeds: Sequence[int], g0: int, count: int) 
 def _fill_block(config: EnvConfig, seeds: Sequence[int], t0: int, steps: int) -> _Block:
     """The block of the tapes of (config, seed) for every seed in ``seeds``
     that holds the steps t = t0 .. t0 + steps - 1: the head batches
-    (:func:`_head_batches`), the jitters and :func:`sort_batch` under both
-    actions, in one numpy pass.  Every array has the seed on its leading
-    axis.
+    (:func:`_head_batches`) and :func:`sort_batch` under both actions, with
+    each step's jitters drawn here, in one numpy pass.  Every array has the
+    seed on its leading axis.
 
     As in :func:`_head_batches`, each array operation is the scalar path's
     applied elementwise in the same order (branches as ``np.where``), so
@@ -471,7 +445,7 @@ def _fill_block(config: EnvConfig, seeds: Sequence[int], t0: int, steps: int) ->
         deposits[..., CONTAINER_E, j, :] = residual[j]
     d = deposits[..., :N_MATERIALS, :, :]
     deposit_totals = ((d[..., 0, :] + d[..., 1, :]) + d[..., 2, :]) + d[..., 3, :]
-    return _Block(quantities, totals, jitters, deposits, deposit_totals, accuracies)
+    return _Block(quantities, totals, deposits, deposit_totals, accuracies)
 
 
 def update_containers_and_presses(state: EnvState, deposits: list[list[float]]) -> list[Bale]:

@@ -6,21 +6,22 @@ reward is a pure function of the bit sequence.  That gives an upper bound on
 controller performance, not a controller.
 
 Both score through :func:`evaluate_population`, which steps a whole batch of
-candidates through one input tape on numpy arrays and returns, bit for bit,
-what :func:`episode_reward` (the scalar reference path) returns for each.  The
-GA scores each generation's new candidates in one call in this process; BF
-scores its codes in chunks of ``BRUTE_FORCE_CHUNK`` and can spread code ranges
-over worker processes.
+candidates through a :class:`~sortplant.env.TapeStack` on numpy arrays and
+returns, bit for bit, what :func:`episode_reward` (the scalar reference path)
+returns for each.  A planner's stack holds its one seed.  The GA scores each
+generation's new candidates in one call in this process; BF scores its codes
+in chunks of ``BRUTE_FORCE_CHUNK`` and can spread code ranges over worker
+processes.
 
-Given a :class:`~sortplant.env.TapeStack` instead of one tape, the same call
-scores columns that play different seeds: ``tape_of_col[i]`` is the index
-into the stack's seeds of the seed column i plays.  The benchmark scores the
-R and RB cells of many seeds this way.
+The columns of one call may play different seeds of a wider stack:
+``tape_of_col[i]`` is the index into the stack's seeds of the seed column i
+plays.  The benchmark scores the R and RB cells of many seeds this way.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -99,22 +100,20 @@ def episode_reward(config: EnvConfig, seed: int, actions: Sequence[int], tape: O
 
 
 def evaluate_population(
-    tapes: InputTape | TapeStack, bits: Sequence[Sequence[int]] | np.ndarray, tape_of_col: Optional[Sequence[int] | np.ndarray] = None
+    stack: TapeStack, bits: Sequence[Sequence[int]] | np.ndarray, tape_of_col: Optional[Sequence[int] | np.ndarray] = None
 ) -> np.ndarray:
     """Frozen-seed rewards of P action sequences scored together.
 
-    ``bits`` is a (P, n) 0/1 matrix.  With one tape, entry i of the result
-    equals ``episode_reward(tape.config, tape.seed, bits[i], tape)`` bit for
-    bit.  With a :class:`~sortplant.env.TapeStack`, ``tape_of_col[i]`` is
-    the index into ``tapes.seeds`` of the seed that column i plays, and entry
-    i equals the episode reward of ``bits[i]`` on that seed's tape; one call
-    thus scores many seeds.  ``tape_of_col`` defaults to all zeros, the
-    first (or only) tape.
+    ``bits`` is a (P, n) 0/1 matrix, and ``tape_of_col[i]`` is the index
+    into ``stack.seeds`` of the seed that column i plays.  Entry i of the
+    result equals ``episode_reward(stack.config, seed, bits[i])`` for that
+    seed, bit for bit, so one call scores many seeds.  ``tape_of_col``
+    defaults to all zeros, the first (or only) seed.
 
     The P episodes step through numpy state arrays with the population on
     the last axis: contents (5, 4, P), pending_since (5, P) with -1 for "not
     waiting", busy_until (n_presses, P).  Each step reads both sorts of every
-    tape (``sorted_deposits``) and gathers column i's deposits at
+    seed (``stack.sorted_deposits``) and gathers column i's deposits at
     ``2 * tape_of_col[i] + bits[i, t]``.  The rules of
     :func:`update_containers_and_presses` and :func:`compute_reward` are
     mirrored operation for operation:
@@ -132,19 +131,19 @@ def evaluate_population(
     if bits.ndim != 2:
         raise ContractViolation(f"bits must be a (P, n) matrix, got {bits.ndim} dimension(s)")
     pop, n = bits.shape
-    config = tapes.config
+    config = stack.config
     if n > config.episode_len:
         raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
     if ((bits != 0) & (bits != 1)).any():
         raise ContractViolation("actions must be 0 or 1")
-    width = len(tapes.seeds) if isinstance(tapes, TapeStack) else 1
+    width = len(stack.seeds)
     if tape_of_col is None:
         tape_of_col = np.zeros(pop, dtype=np.intp)
     tape_of_col = np.asarray(tape_of_col)
     if tape_of_col.shape != (pop,) or tape_of_col.dtype.kind not in "iu":
         raise ContractViolation(f"tape_of_col must hold one integer per column, got shape {tape_of_col.shape}")
     if ((tape_of_col < 0) | (tape_of_col >= width)).any():
-        raise ContractViolation(f"tape_of_col must index one of {width} tape(s)")
+        raise ContractViolation(f"tape_of_col must index one of {width} seed(s)")
     # column i reads entry 2 * tape + action of each step's sort table
     table_cols = bits.astype(np.intp) + 2 * tape_of_col.astype(np.intp)[:, None]
 
@@ -166,7 +165,7 @@ def evaluate_population(
     total = np.zeros(pop)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(n):
-            table, table_totals = tapes.sorted_deposits(t)
+            table, table_totals = stack.sorted_deposits(t)
             cols = table_cols[:, t]
             deposits = table[:, :, cols]
             dep_total = table_totals[:, cols]
@@ -265,19 +264,21 @@ def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
     """``[fn(*job) for job in jobs]``, spread over up to ``workers`` processes.
 
     One worker or fewer than two jobs run in this process; otherwise a pool of
-    ``min(workers, len(jobs))`` processes is opened and closed here.  Results
-    come back in job order either way.  ``fn`` and every job are pickled for
-    the pool, so ``fn`` must be a module-level function.
+    ``min(workers, len(jobs), os.cpu_count())`` processes is opened and closed
+    here.  Results come back in job order either way.  ``fn`` and every job
+    are pickled for the pool, so ``fn`` must be a module-level function.
     """
     if workers < 1:
         raise ContractViolation(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(jobs) < 2:
         return [fn(*job) for job in jobs]
-    # imported here: the pool machinery costs about 0.6 MB of resident
-    # memory, which a run that never opens a pool should not pay
+    # imported here: importing the pool machinery adds 1.3 MB of resident
+    # memory (Python 3.11, measured after numpy), which a run that never
+    # opens a pool should not pay
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    # processes beyond the CPUs would only queue
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 
 
@@ -300,7 +301,7 @@ class _FitnessOracle:
     """
 
     def __init__(self, config: EnvConfig, seed: int) -> None:
-        self.tape = InputTape(config, seed)
+        self.stack = TapeStack(config, (seed,))
         self.cache: dict[bytes, float] = {}
         self.evaluations = 0
 
@@ -310,7 +311,7 @@ class _FitnessOracle:
         if todo:
             self.evaluations += len(todo)
             bits = np.frombuffer(b"".join(todo), dtype=np.uint8).reshape(len(todo), -1)
-            self.cache.update(zip(todo, evaluate_population(self.tape, bits).tolist()))
+            self.cache.update(zip(todo, evaluate_population(self.stack, bits).tolist()))
         return [self.cache[key] for key in keys]
 
 
@@ -327,10 +328,11 @@ def brute_force(config: EnvConfig, seed: int, n: int, workers: int = 1) -> Brute
     if n > BRUTE_FORCE_CAP:
         raise ContractViolation(f"brute force refuses n > {BRUTE_FORCE_CAP} (2**{n} rollouts); use the GA instead")
     total = 1 << n
-    tape = InputTape(config, seed)
-    # a pool pays only when there is more than one chunk to share out
-    parts = workers if total > BRUTE_FORCE_CHUNK else 1
-    partials = parallel_map(_brute_span, [(tape, n, start, stop) for start, stop in _spans(total, parts)], workers)
+    stack = TapeStack(config, (seed,))
+    # a pool pays only when there is more than one chunk to share out, and
+    # opens at most one process per CPU, so the spans stop there too
+    parts = min(workers, os.cpu_count() or 1) if total > BRUTE_FORCE_CHUNK else 1
+    partials = parallel_map(_brute_span, [(stack, n, start, stop) for start, stop in _spans(total, parts)], workers)
     # spans are merged in code order with a strict >, so ties keep the lowest code
     best_code, best_reward = partials[0]
     for code, reward in partials[1:]:
@@ -339,12 +341,12 @@ def brute_force(config: EnvConfig, seed: int, n: int, workers: int = 1) -> Brute
     return BruteForceResult(_code_to_bits(best_code, n), best_reward, total)
 
 
-def _brute_span(tape: InputTape, n: int, start: int, stop: int) -> tuple[int, float]:
+def _brute_span(stack: TapeStack, n: int, start: int, stop: int) -> tuple[int, float]:
     shifts = np.arange(n - 1, -1, -1)  # MSB first, as in _code_to_bits
     best_code, best_reward = start, -math.inf
     for low in range(start, stop, BRUTE_FORCE_CHUNK):
         codes = np.arange(low, min(low + BRUTE_FORCE_CHUNK, stop))
-        rewards = evaluate_population(tape, (codes[:, None] >> shifts) & 1)
+        rewards = evaluate_population(stack, (codes[:, None] >> shifts) & 1)
         i = int(np.argmax(rewards))  # the first maximum, so the lowest code
         if rewards[i] > best_reward:
             best_code, best_reward = low + i, float(rewards[i])

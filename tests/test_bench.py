@@ -8,7 +8,7 @@ import pytest
 
 from sortplant import bench
 from sortplant.config import ConfigError, EnvConfig
-from sortplant.env import ContractViolation, InputTape
+from sortplant.env import ContractViolation, TapeStack
 from sortplant.baselines import make_policy, random_actions, rule_based_actions, run_policy
 from sortplant.bench import (
     STACK_SEEDS,
@@ -59,7 +59,7 @@ def test_open_loop_r_and_rb_cells_equal_closed_loop_runs(belt_delay):
             reward, _ = evaluate_strategy(strategy, cfg, seed, 100, SMALL_GA)
             assert reward.hex() == run.cumulative_reward.hex()
         assert random_actions(seed, 100) == run_policy(cfg, seed, make_policy("random", policy_seed=seed), 100).actions
-        assert rule_based_actions(InputTape(cfg, seed), 100) == run_policy(cfg, seed, make_policy("rule"), 100).actions
+        assert rule_based_actions(TapeStack(cfg, (seed,)), 100) == [run_policy(cfg, seed, make_policy("rule"), 100).actions]
 
 
 def test_bf_dominates_ga_cellwise():
@@ -168,9 +168,9 @@ def test_open_loop_cells_are_scored_in_stacks(monkeypatch):
     stacks = []
     real = bench.evaluate_population
 
-    def recording(tapes, bits, tape_of_col):
-        stacks.append((len(tapes.seeds), len(bits)))
-        return real(tapes, bits, tape_of_col)
+    def recording(stack, bits, tape_of_col):
+        stacks.append((len(stack.seeds), len(bits)))
+        return real(stack, bits, tape_of_col)
 
     monkeypatch.setattr(bench, "evaluate_population", recording)
     count = 2 * STACK_SEEDS + 1

@@ -48,6 +48,18 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert "episod_len" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"episode_len: [1\n", "not a readable YAML file"), (b"episode_len: 10 # \xff\n", "not a readable YAML file")],
+    ids=["malformed-yaml", "not-utf8"],
+)
+def test_unreadable_config_file_is_usage_error(content, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(content)
+    assert main(["brute", "--seed", "1", "--len", "3", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_rejects_huge_episode_len(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"episode_len: {10**30}\n")
@@ -177,6 +189,27 @@ def test_bench_rule_baseline_without_belt_delay(tmp_path, capsys):
     out = tmp_path / "bench"
     assert main(["bench", "--config", str(cfg), "--strategies", "RB", "--seeds", "0..2", "--len", "10", "--out", str(out)]) == 0
     assert (out / "per_seed.csv").read_text().count("\nRB,") == 2
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (b"DQN,0,nan\n", "non-finite reward"),
+        (b"DQN,0,-inf\n", "non-finite reward"),
+        (b"DQN,0,1.0\nDQN,0,2.0\n", "repeat strategy 'DQN' on seed 0"),
+        (b",1,1.0\n", "without a strategy name"),
+        (b"DQN,0,1.0 \xff\n", "not UTF-8"),
+    ],
+    ids=["nan-reward", "inf-reward", "repeated-cell", "empty-name", "not-utf8"],
+)
+def test_bad_external_scores_are_usage_errors(rows, message, tmp_path, capsys):
+    scores = tmp_path / "ext.csv"
+    scores.write_bytes(b"strategy,seed,reward\n" + rows)
+    out = tmp_path / "out"
+    argv = ["bench", "--strategies", "R", "--seeds", "0..2", "--len", "3", "--external", str(scores), "--out", str(out)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_rejects_campaign_seeds(tmp_path):

@@ -238,6 +238,7 @@ def _set_in_config(key, value):
     "tamper, rule, detail",
     [
         (lambda doc: [doc], "manifest-unparseable", "not a JSON object"),
+        (lambda doc: json.dumps(doc).encode().replace(b'"seeds"', b'"s\xffeds"'), "manifest-unparseable", "utf-8"),
         (_drop_first_seed, "manifest-index", "integer seed"),
         (lambda doc: {**doc, "trajectories": None}, "manifest-index", "integer seed"),
         (lambda doc: {**doc, "rejected_count": doc["rejected_count"] + 1}, "manifest-index", "rejected_count"),
@@ -260,6 +261,7 @@ def _set_in_config(key, value):
     ],
     ids=[
         "not-an-object",
+        "not-utf8",
         "entry-without-seed",
         "null-trajectories",
         "rejected-count",
@@ -288,7 +290,10 @@ def test_validate_reports_manifest_tamper(campaign, tmp_path, capsys, tamper, ru
     for path in out.iterdir():
         (copy / path.name).write_bytes(path.read_bytes())
     doc = tamper(json.loads((copy / "manifest.json").read_text()))
-    (copy / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+    if isinstance(doc, bytes):  # the tamper wrote the file's bytes itself
+        (copy / "manifest.json").write_bytes(doc)
+    else:
+        (copy / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
     report = validate_dataset(copy)
     assert not report.ok

@@ -3,7 +3,9 @@ oracle dominance."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
+import os
 import random
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
-from sortplant.env import ContractViolation, InputTape, TapeStack
+from sortplant.env import STACK_ROWS, ContractViolation, InputTape, TapeStack
 from sortplant import planners
 from sortplant.baselines import make_policy, run_policy
 from sortplant.planners import (
@@ -166,24 +168,27 @@ def _pinned_press_regimes(test):
 @given(cfg=gate_configs, seed=st.integers(0, 2**32), bits=bit_matrices())
 @_pinned_press_regimes
 def test_evaluate_population_is_bit_identical_to_episode_reward(cfg, seed, bits):
-    rewards = evaluate_population(InputTape(cfg, seed), bits)
+    rewards = evaluate_population(TapeStack(cfg, (seed,)), bits)
     assert rewards.shape == (len(bits),)
     assert [float(r).hex() for r in rewards] == [episode_reward(cfg, seed, row).hex() for row in bits]
 
 
 @st.composite
 def stacked_columns(draw):
-    """(seeds, bits, tape_of_col): a stack of 1-4 seeds and columns drawn over it."""
-    stacked = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True))
+    """(seeds, bits, tape_of_col): a stack of 1-12 seeds and columns drawn over it."""
+    stacked = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=12, unique=True))
     bits = draw(bit_matrices())
     tape_of_col = draw(st.lists(st.integers(0, len(stacked) - 1), min_size=len(bits), max_size=len(bits)))
     return stacked, bits, tape_of_col
 
 
 def _pinned_stacked_press_regimes(test):
+    # 3 seeds fill blocks of 133 steps, which hold a 100-step episode; 12
+    # seeds fill blocks of 33 steps, so both passes cross and refill blocks
     for _, overrides, *_ in PINNED_REGIMES:
         bits = [PINNED_ACTIONS, [1 - b for b in PINNED_ACTIONS], [0] * len(PINNED_ACTIONS), PINNED_ACTIONS]
         test = example(cfg=EnvConfig(**overrides), columns=([11, 12, 13], bits, [0, 2, 1, 2]))(test)
+        test = example(cfg=EnvConfig(**overrides), columns=(list(range(11, 23)), bits, [0, 11, 5, 11]))(test)
     return test
 
 
@@ -196,7 +201,8 @@ def test_stacked_evaluate_population_is_bit_identical_to_episode_reward(cfg, col
     rewards = evaluate_population(stack, bits, tape_of_col)
     expected = [episode_reward(cfg, stacked[k], row).hex() for k, row in zip(tape_of_col, bits)]
     assert [float(r).hex() for r in rewards] == expected
-    # the stack keeps one block, so a second pass refills the first blocks
+    # the stack keeps one block, so when the columns cross blocks (at least
+    # 11 seeds, at most 36 steps a block), a second pass refills the first
     assert [float(r).hex() for r in evaluate_population(stack, bits, tape_of_col)] == expected
 
 
@@ -210,7 +216,7 @@ def test_evaluate_population_tape_of_col_contract(tape_of_col, match):
     with pytest.raises(ContractViolation, match=match):
         evaluate_population(TapeStack(CFG, (0, 1, 2)), bits, tape_of_col)
     with pytest.raises(ContractViolation, match="index one of 1"):
-        evaluate_population(InputTape(CFG, 0), bits, [0, 1])
+        evaluate_population(TapeStack(CFG, (0,)), bits, [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -224,7 +230,7 @@ def test_evaluate_population_tape_of_col_contract(tape_of_col, match):
 )
 def test_evaluate_population_contract(bits, match):
     with pytest.raises(ContractViolation, match=match):
-        evaluate_population(InputTape(CFG, 0), bits)
+        evaluate_population(TapeStack(CFG, (0,)), bits)
     if isinstance(bits[0], list):  # the scalar path refuses the same rows
         with pytest.raises(ContractViolation):
             episode_reward(CFG, 0, bits[0])
@@ -276,7 +282,43 @@ def test_brute_force_worker_count_is_invisible():
     assert serial == parallel
 
 
+def test_worker_processes_are_clamped_to_the_cpus(monkeypatch):
+    sizes, jobs = [], []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and runs the
+        jobs here, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            jobs.append(len(columns[0]))
+            return map(fn, *columns)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert planners.parallel_map(pow, [(2, k) for k in range(10)], 5000) == [2**k for k in range(10)]
+    # brute force cuts one span per process it may open, not one per worker asked
+    assert brute_force(CFG, 9, 10, workers=5000) == brute_force(CFG, 9, 10, workers=1)
+    assert sizes == [3, 3]
+    assert jobs == [10, 3]
+
+
 # --- GA ---------------------------------------------------------------------
+
+
+def test_default_ga_fills_its_stack_once(drawn_steps):
+    # a stack of one seed holds STACK_ROWS steps, so every generation of a
+    # 100-step GA reads the block the first one filled
+    ga_optimize(CFG, 1, 100, GaParams())
+    assert drawn_steps == list(range(-CFG.belt_delay, STACK_ROWS - CFG.belt_delay))
 
 
 def test_ga_zero_generations_reports_initial_population():

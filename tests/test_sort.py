@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
 from sortplant.env import InputTape, MaterialBatch, effective_accuracy, sort_batch
+from sortplant.rng import Stream, noise_draw
 
 NO_JITTER = (0.0, 0.0, 0.0, 0.0)
 
 
 def make_batch(quantities):
     return MaterialBatch(list(quantities), sum(quantities))
+
+
+def stream_jitters(config, seed, t):
+    """Step t's station jitters: the jitter stream's draws, scaled."""
+    return tuple((2.0 * noise_draw(seed, Stream.JITTER, t, m) - 1.0) * config.accuracy_jitter for m in range(4))
 
 
 def trace_sort(quantities, mode, config, jitters=NO_JITTER):
@@ -84,7 +90,7 @@ def test_deposit_purity_tracks_station_accuracy():
 
 def test_contamination_off_means_pure_containers():
     cfg = EnvConfig(contamination_coeff=0.0)
-    out = sort_batch(make_batch([12, 7, 3, 9]), 1, cfg, InputTape(cfg, 5).jitters(2))
+    out = sort_batch(make_batch([12, 7, 3, 9]), 1, cfg, stream_jitters(cfg, 5, 2))
     for c in range(4):
         for j in range(4):
             if j != c:
@@ -94,9 +100,13 @@ def test_contamination_off_means_pure_containers():
 
 def test_jitter_draws_come_from_the_jitter_stream():
     cfg = EnvConfig()
-    a = sort_batch(make_batch([10, 10, 10, 10]), 0, cfg, InputTape(cfg, 1).jitters(0))
-    b = sort_batch(make_batch([10, 10, 10, 10]), 0, cfg, InputTape(cfg, 1).jitters(0))
-    c = sort_batch(make_batch([10, 10, 10, 10]), 0, cfg, InputTape(cfg, 1).jitters(1))
+    tape = InputTape(cfg, 1)
+    outcomes = []
+    for t in (0, 0, 1):
+        out = sort_batch(tape.batch(t - cfg.belt_delay), 0, cfg, stream_jitters(cfg, 1, t))
+        assert out == tape.sort_outcome(t, 0)
+        outcomes.append(out)
+    a, b, c = outcomes
     assert a.accuracies == b.accuracies
     assert a.accuracies != c.accuracies
 
@@ -113,7 +123,7 @@ quantity = st.floats(min_value=0.0, max_value=5_000.0, allow_nan=False, allow_in
 )
 def test_mass_conserved_and_deposits_nonnegative(q, mode, seed, t):
     cfg = EnvConfig(batch_max=5_000.0, batch_min=0.0)
-    out = sort_batch(make_batch(q), mode, cfg, InputTape(cfg, seed).jitters(t))
+    out = sort_batch(make_batch(q), mode, cfg, stream_jitters(cfg, seed, t))
     total_in = sum(q)
     total_out = sum(sum(row) for row in out.deposits)
     assert total_out == pytest.approx(total_in, rel=1e-9, abs=1e-9)

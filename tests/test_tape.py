@@ -1,6 +1,6 @@
-"""Array-backed input tape: every block entry against the scalar reference
-path, stacked tapes against one-seed tapes, and a cost bounded by the blocks
-a run touches."""
+"""Array-backed input tape: every block entry of both readers against the
+scalar reference path, stacked tapes against one-seed tapes, and a cost
+bounded by the blocks a run touches."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from sortplant.cli import main
 from sortplant.config import EnvConfig
-from sortplant.env import BLOCK, InputTape, TapeStack, _fill_block, generate_input, sort_batch
+from sortplant.env import BLOCK, STACK_ROWS, InputTape, TapeStack, _fill_block, generate_input, sort_batch
 from sortplant.rng import Stream, noise_block, noise_draw
+from test_sort import stream_jitters
 
 
 def hexes(values) -> list[str]:
@@ -68,17 +69,17 @@ seeds = st.sampled_from([0, 2**64 - 1, -7]) | st.integers(-(2**70), 2**70)
     t=0,
 )
 def test_tape_block_matches_scalar_reference(cfg, seed, t):
+    # one tape block of steps, read through both readers
     tape = InputTape(cfg, seed)
-    half = cfg.accuracy_jitter
+    stack = TapeStack(cfg, (seed,))
     first = t // BLOCK * BLOCK
     for s in range(first, first + BLOCK):
         head = generate_input(cfg, seed, s - cfg.belt_delay)
         batch = tape.batch(s - cfg.belt_delay)
         assert hexes(batch.quantities) == hexes(head.quantities)
         assert batch.total.hex() == head.total.hex()
-        jitters = tuple((2.0 * noise_draw(seed, Stream.JITTER, s, m) - 1.0) * half for m in range(4))
-        assert hexes(tape.jitters(s)) == hexes(jitters)
-        deposits, totals = tape.sorted_deposits(s)
+        jitters = stream_jitters(cfg, seed, s)
+        deposits, totals = stack.sorted_deposits(s)
         for action in (0, 1):
             ref = sort_batch(head, action, cfg, jitters)
             outcome = tape.sort_outcome(s, action)
@@ -110,20 +111,23 @@ def test_stacked_fill_matches_one_seed_tapes(cfg, stacked, t):
         own = _fill_block(cfg, (seed,), t0, BLOCK)
         for name, array in zip(block._fields, block):
             assert hexes(array[k]) == hexes(getattr(own, name)[0]), name
-    # and the stack's per-step tables, head batches and per-seed tapes agree
+    # and the stack's per-step tables and head batches agree with a stack of
+    # each seed alone, whose block length differs, and with its tape
     stack = TapeStack(cfg, stacked)
+    assert stack.block_len == STACK_ROWS // len(stacked)
     deposits, totals = stack.sorted_deposits(t)
     n = 2 * BLOCK
     heads = stack.head_quantities(n)
     for k, seed in enumerate(stacked):
-        tape = InputTape(cfg, seed)
-        own_deposits, own_totals = tape.sorted_deposits(t)
+        own = TapeStack(cfg, (seed,))
+        own_deposits, own_totals = own.sorted_deposits(t)
         assert hexes(deposits[:, :, 2 * k : 2 * k + 2]) == hexes(own_deposits)
         assert hexes(totals[:, 2 * k : 2 * k + 2]) == hexes(own_totals)
-        assert hexes(heads[k]) == hexes(tape.head_quantities(n))
-        view = stack.tape(k)
-        assert hexes(view.sorted_deposits(t)[0]) == hexes(own_deposits)
-        assert view.batch(t) == tape.batch(t) and view.jitters(t) == tape.jitters(t)
+        assert hexes(heads[k]) == hexes(own.head_quantities(n))
+        tape = InputTape(cfg, seed)
+        assert hexes(heads[k]) == hexes([tape.batch(s - cfg.belt_delay).quantities for s in range(n)])
+        for action in (0, 1):
+            assert hexes(own_deposits[:, :, action]) == hexes(tape.sort_outcome(t, action).deposits)
 
 
 def test_short_simulate_fills_only_the_blocks_it_reads(drawn_steps, tmp_path, capsys):
