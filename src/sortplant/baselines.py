@@ -7,12 +7,12 @@ baseline for the demonstration filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .config import EnvConfig
-from .env import ContractViolation, EnvState, InputTape, MaterialBatch, TapeStack, reset, step
+from .env import ContractViolation, EnvState, InputTape, MaterialBatch, head_batches, reset, step
 from .rng import Stream, noise_block, noise_draw
 from .trajio import Transition
 
@@ -32,16 +32,16 @@ def rule_based_policy(head_batch: MaterialBatch) -> int:
     return 0 if q[0] + q[2] >= q[1] + q[3] else 1
 
 
-def random_actions(policy_seed: int, n: int) -> list[int]:
-    """``[random_policy(policy_seed, t) for t in range(n)]`` from one array draw."""
-    return (noise_block((policy_seed,), Stream.POLICY, 0, n, 1)[0, :, 0] >= 0.5).astype(int).tolist()
+def random_actions(policy_seeds: Sequence[int], n: int) -> list[list[int]]:
+    """``[random_policy(seed, t) for t in range(n)]`` for each of ``policy_seeds``, from one array draw."""
+    return (noise_block(policy_seeds, Stream.POLICY, 0, n, 1)[..., 0] >= 0.5).astype(int).tolist()
 
 
-def rule_based_actions(stack: TapeStack, n: int) -> list[list[int]]:
-    """The rule-based policy's actions for steps 0 .. n-1, one list of n
-    actions per seed of the stack: the policy reads only the head batch, so
-    its actions are a function of the tape alone.  No block is filled."""
-    q = stack.head_quantities(n)
+def rule_based_actions(config: EnvConfig, seeds: Sequence[int], n: int) -> list[list[int]]:
+    """The rule-based policy's actions for steps 0 .. n-1, one list per seed.
+    The policy reads only step t's head batch, generated at t - belt_delay,
+    so its actions are a function of (config, seed); no block is filled."""
+    q = head_batches(config, seeds, -config.belt_delay, n)[0]
     return np.where(q[..., 0] + q[..., 2] >= q[..., 1] + q[..., 3], 0, 1).tolist()
 
 
@@ -62,7 +62,7 @@ def make_policy(name: str, policy_seed: Optional[int] = None) -> Policy:
 class PolicyRun:
     actions: list[int]
     cumulative_reward: float
-    transitions: Optional[list[Transition]]
+    transitions: list[Transition]
 
 
 def run_policy(
@@ -70,22 +70,20 @@ def run_policy(
     seed: int,
     policy: Policy,
     n_steps: int,
-    keep_transitions: bool = False,
     tape: Optional[InputTape] = None,
 ) -> PolicyRun:
-    """Roll a closed-loop policy for n_steps from a fresh reset."""
+    """Roll a closed-loop policy for n_steps from a fresh reset and record every transition."""
     if n_steps > config.episode_len:
         raise ContractViolation(f"horizon {n_steps} exceeds episode_len {config.episode_len}")
     state, obs = reset(config, seed, tape)
     actions: list[int] = []
-    transitions: Optional[list[Transition]] = [] if keep_transitions else None
+    transitions: list[Transition] = []
     total = 0.0
     for _ in range(n_steps):
         action = policy(state)
         result = step(state, action)
         actions.append(action)
         total += result.reward
-        if transitions is not None:
-            transitions.append(Transition(obs, action, result.reward, result.observation, result.truncated))
+        transitions.append(Transition(obs, action, result.reward, result.observation, result.truncated))
         obs = result.observation
     return PolicyRun(actions, total, transitions)

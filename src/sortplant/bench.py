@@ -2,17 +2,16 @@
 
 Strategies: R (uniform random policy), RB (majority-pair rule), BF (exhaustive
 search, short horizons only), GA (evolutionary planner).  BF and GA are
-planners scored by their best frozen-seed sequence.  R and RB are scored open
-loop: neither policy reads plant state (R draws from its own stream, RB reads
-only the head batch, which is on the tape), so their action sequences are
-known before the episode runs, and the reward of a sequence is what the
-closed-loop run would earn.  :func:`run_bench` therefore scores the R and RB
-cells of up to ``STACK_SEEDS`` seeds in one
+planners scored by their best frozen-seed sequence (:func:`evaluate_strategy`).
+R and RB are scored open loop: neither policy reads plant state (R draws from
+its own stream, RB reads only the head batch), so each one's actions are a
+function of (config, seed), drawn for a seed group at once, and the reward of
+a sequence is what the closed-loop run would earn.  :func:`score_open_loop`
+therefore scores the R and RB cells of up to ``STACK_SEEDS`` seeds in one
 :func:`~sortplant.planners.evaluate_population` call over one
-:class:`~sortplant.env.TapeStack`, which both strategies share; BF and GA
-make the same calls on a stack of their one seed.  Scores from
-external agents can be merged from a file so downstream results land in the
-same tables.
+:class:`~sortplant.env.TapeStack`, which both strategies share; BF and GA make
+the same calls on a stack of their one seed.  Scores from external agents can
+be merged from a file so downstream results land in the same tables.
 """
 
 from __future__ import annotations
@@ -55,6 +54,8 @@ PER_SEED_HEADER = "strategy,seed,reward"
 SUMMARY_HEADER = "strategy,count,mean,std,median,min,max"
 CURVE_HEADER = "deviation,reward"
 GENERATIONS_HEADER = "seed,generation,max_reward,mean_reward,min_reward"
+CURVE_SPAN = 0.25
+CURVE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,10 @@ class BenchSpec:
 
     def __post_init__(self) -> None:
         unknown = [s for s in self.strategies if s not in STRATEGIES]
-        if unknown:
-            raise ContractViolation(f"unknown strategy name(s): {unknown}; expected subset of {STRATEGIES}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ContractViolation("benchmark seed list contains duplicates")
+        if unknown or not self.strategies or len(set(self.strategies)) != len(self.strategies):
+            raise ContractViolation(f"need one or more distinct strategies from {STRATEGIES}, got {list(self.strategies)}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ContractViolation("benchmark seed list must be nonempty, without duplicates")
         bad = [s for s in self.seeds if not 0 <= s < BENCH_SEED_LIMIT]
         if bad:
             raise ContractViolation(
@@ -102,36 +103,34 @@ class BenchResult:
 def evaluate_strategy(
     strategy: str, config: EnvConfig, seed: int, horizon: int, ga_params: GaParams
 ) -> tuple[float, Optional[tuple[GenStats, list[GenStats]]]]:
-    """Cumulative reward of one strategy on one seed; GA also returns its
-    per-generation curve.  Every strategy scores on a stack of this seed
-    alone: R and RB here, BF and GA inside their planners."""
-    if strategy in OPEN_LOOP:
-        return score_open_loop(config, (seed,), (strategy,), horizon)[0], None
+    """Cumulative reward of one planner strategy, BF or GA, on one seed
+    (scored on a stack of this seed alone); GA also returns its
+    per-generation curve.  R and RB go through :func:`score_open_loop`."""
     if strategy == "BF":
         return brute_force(config, seed, horizon).best_reward, None
     if strategy == "GA":
         params = dataclasses.replace(ga_params, ga_seed=ga_seed_for_env(ga_params.ga_seed, seed))
         result = ga_optimize(config, seed, horizon, params)
         return result.best_reward, (result.initial_stats, result.per_generation)
-    raise ContractViolation(f"unknown strategy {strategy!r}")
+    raise ContractViolation(f"{strategy!r} is not a planner strategy (BF, GA)")
 
 
 def score_open_loop(config: EnvConfig, seeds: Sequence[int], strategies: Sequence[str], horizon: int) -> list[float]:
     """Rewards of the R and RB cells of ``seeds``, strategy-major, from one
-    :class:`TapeStack` and one :func:`evaluate_population` call (see the
-    module docstring).  The policy stream is independent of the environment
-    streams, so R reusing the env seed as its policy seed costs nothing."""
-    stack = TapeStack(config, seeds)
+    action draw per strategy, one :class:`TapeStack` and one
+    :func:`evaluate_population` call (see the module docstring).  The policy
+    stream is independent of the environment streams, so R reusing the env
+    seed as its policy seed costs nothing."""
     bits: list[list[int]] = []
     for strategy in strategies:
         if strategy == "R":
-            bits += [random_actions(seed, horizon) for seed in seeds]
+            bits += random_actions(seeds, horizon)
         elif strategy == "RB":
-            bits += rule_based_actions(stack, horizon)
+            bits += rule_based_actions(config, seeds, horizon)
         else:
             raise ContractViolation(f"{strategy!r} is not an open-loop strategy {OPEN_LOOP}")
     tape_of_col = list(range(len(seeds))) * len(strategies)
-    return evaluate_population(stack, bits, tape_of_col).tolist()
+    return evaluate_population(TapeStack(config, seeds), bits, tape_of_col).tolist()
 
 
 def _score_cells(
@@ -219,13 +218,12 @@ def load_external_scores(path: Union[str, Path]) -> dict[str, list[tuple[int, fl
     return {name: sorted(cells.items()) for name, cells in scores.items()}
 
 
-def reward_curve_samples(config: EnvConfig, lo: float = -0.25, hi: float = 0.25, steps: int = 100) -> list[tuple[float, float]]:
-    """Samples of the per-container reward law over a purity-deviation range."""
-    samples = []
-    for i in range(steps + 1):
-        d = lo + (hi - lo) * i / steps
-        samples.append((d, purity_reward(d, config.penalty_factor)))
-    return samples
+def reward_curve_samples(config: EnvConfig) -> list[tuple[float, float]]:
+    """Samples of the per-container reward law at ``CURVE_STEPS + 1`` evenly
+    spaced purity deviations from ``-CURVE_SPAN`` to ``CURVE_SPAN``."""
+    lo, hi = -CURVE_SPAN, CURVE_SPAN
+    deviations = (lo + (hi - lo) * i / CURVE_STEPS for i in range(CURVE_STEPS + 1))
+    return [(d, purity_reward(d, config.penalty_factor)) for d in deviations]
 
 
 def emit_outputs(

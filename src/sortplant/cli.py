@@ -188,8 +188,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise UsageError("one of --policy or --actions is required")
         policy_seed = args.policy_seed if args.policy_seed is not None else args.seed
         policy = make_policy(args.policy, policy_seed=policy_seed)
-        run = run_policy(config, args.seed, policy, n, keep_transitions=True)
-        total, transitions = run.cumulative_reward, run.transitions or []
+        run = run_policy(config, args.seed, policy, n)
+        total, transitions = run.cumulative_reward, run.transitions
         actions = run.actions
         policy_desc = {"policy": args.policy, "policy_seed": policy_seed}
     header = {

@@ -102,17 +102,12 @@ class EnvConfig:
             raise ConfigError("press_duration must be >= 0")
 
 
-_INT_FIELDS = frozenset(
-    {"n_materials", "episode_len", "seasonal_period", "belt_delay", "n_presses", "press_duration"}
-)
-
-
 def config_from_mapping(raw: dict[str, Any]) -> EnvConfig:
     """Build a validated config from a plain mapping (config file contents)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a key/value mapping, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(EnvConfig)}
-    unknown = sorted(set(raw) - known)
+    defaults = {f.name: f.default for f in dataclasses.fields(EnvConfig)}
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs: dict[str, Any] = {}
@@ -121,7 +116,7 @@ def config_from_mapping(raw: dict[str, Any]) -> EnvConfig:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError("purity_thresholds must be a list of 4 numbers")
             kwargs[key] = tuple(_as_float(key, v) for v in value)
-        elif key in _INT_FIELDS:
+        elif type(defaults[key]) is int:  # an integer field, as its default says
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
             kwargs[key] = value

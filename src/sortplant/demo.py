@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .config import ConfigError, EnvConfig, config_from_mapping, config_to_dict
-from .env import OBS_SIZE, ContractViolation, InputTape, TapeStack
+from .env import OBS_SIZE, ContractViolation, InputTape
 from .baselines import rule_based_actions
 from .planners import GaParams, episode_reward, ga_optimize, ga_seed_for_env, parallel_map, rollout
 from .trajio import Transition, read_transitions, sha256_file, write_transitions
@@ -92,12 +94,12 @@ def generate_demo(
     The GA best sequence is replayed through a fresh rollout to materialize
     the exported transitions; determinism guarantees the replay reproduces
     the optimizer's reward exactly.  The rule-based baseline is scored open
-    loop, as the benchmark scores it: its actions come off the head batches
-    of a stack of this seed, and its reward and the replay off one tape.
+    loop, as the benchmark scores it: its actions are a function of (config,
+    seed), and its reward and the replay come off one tape.
     """
     n = config.episode_len
     tape = InputTape(config, env_seed)
-    (rb_actions,) = rule_based_actions(TapeStack(config, (env_seed,)), n)
+    (rb_actions,) = rule_based_actions(config, (env_seed,), n)
     baseline = episode_reward(config, env_seed, rb_actions, tape)
     per_env = dataclasses.replace(ga_params, ga_seed=ga_seed_for_env(ga_params.ga_seed, env_seed))
     ga = ga_optimize(config, env_seed, n, per_env)
@@ -200,7 +202,9 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
     accepted record passes it, every rejection fails it), and replay equality.
 
     Replay re-simulates every accepted trajectory from (config, seed, action
-    string) recorded in the manifest and compares rewards bit-exactly.
+    string) recorded in the manifest.  Its cumulative reward must equal the
+    manifest's, and each stored transition's obs, reward and next_obs the
+    replay's, bit for bit.
     """
     directory = Path(directory)
     violations: list[Violation] = []
@@ -310,10 +314,17 @@ def validate_dataset(directory: Union[str, Path]) -> ValidationReport:
             )
             continue
         for i, (stored, fresh) in enumerate(zip(transitions, replay_transitions)):
-            if stored.reward != fresh.reward:
-                violations.append(Violation(name, "replay", f"transition {i} reward mismatch"))
+            differs = [key for key in ("obs", "reward", "next_obs") if _bits(getattr(stored, key)) != _bits(getattr(fresh, key))]
+            if differs:
+                violations.append(Violation(name, "replay", f"transition {i} {' and '.join(differs)} mismatch"))
                 break
     return ValidationReport(not violations, violations)
+
+
+def _bits(values: object) -> bytes:
+    """The float64 bit patterns of a number or a vector, so that equal bytes
+    mean bit-identical values (-0.0 and 0.0 differ)."""
+    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 def _seeded_records(value: object) -> bool:

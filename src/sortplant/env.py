@@ -155,8 +155,7 @@ class TapeStack:
     horizon; a step read again after its block was dropped is filled again,
     to the same values.  :meth:`sorted_deposits` serves
     :func:`~sortplant.planners.evaluate_population` every seed's sorts of one
-    step at once, and :meth:`head_quantities` the head batches of a whole
-    horizon without filling any block.
+    step at once.
     """
 
     __slots__ = ("config", "seeds", "block_len", "_b", "_deposits", "_totals")
@@ -189,10 +188,6 @@ class TapeStack:
             self._totals = block.deposit_totals.transpose(1, 2, 0, 3).reshape(steps, N_MATERIALS, -1)
             self._b = b
         return self._deposits[i], self._totals[i]
-
-    def head_quantities(self, n: int) -> np.ndarray:
-        """(S, n, 4) quantities of the head batches sorted at steps 0 .. n-1."""
-        return _head_batches(self.config, self.seeds, -self.config.belt_delay, n)[0]
 
 
 class InputTape:
@@ -373,7 +368,7 @@ def _season(period: int, amplitude: float, g0: int, count: int) -> np.ndarray:
     return season
 
 
-def _head_batches(config: EnvConfig, seeds: Sequence[int], g0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def head_batches(config: EnvConfig, seeds: Sequence[int], g0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`generate_input` for the steps g0 .. g0 + count - 1 of every
     seed in ``seeds``, in one numpy pass: quantities (S, count, 4) and
     totals (S, count).
@@ -399,15 +394,15 @@ def _head_batches(config: EnvConfig, seeds: Sequence[int], g0: int, count: int) 
 def _fill_block(config: EnvConfig, seeds: Sequence[int], t0: int, steps: int) -> _Block:
     """The block of the tapes of (config, seed) for every seed in ``seeds``
     that holds the steps t = t0 .. t0 + steps - 1: the head batches
-    (:func:`_head_batches`) and :func:`sort_batch` under both actions, with
+    (:func:`head_batches`) and :func:`sort_batch` under both actions, with
     each step's jitters drawn here, in one numpy pass.  Every array has the
     seed on its leading axis.
 
-    As in :func:`_head_batches`, each array operation is the scalar path's
+    As in :func:`head_batches`, each array operation is the scalar path's
     applied elementwise in the same order (branches as ``np.where``), so
     every entry is bit-identical to the scalar reference.
     """
-    quantities, totals = _head_batches(config, seeds, t0 - config.belt_delay, steps)
+    quantities, totals = head_batches(config, seeds, t0 - config.belt_delay, steps)
     jitters = (2.0 * noise_block(seeds, Stream.JITTER, t0, steps, N_MATERIALS) - 1.0) * config.accuracy_jitter
 
     # sort_batch, with (seed, step) leading and the action trailing on every

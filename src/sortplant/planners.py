@@ -213,7 +213,7 @@ def rollout(
 ) -> tuple[float, list[Transition]]:
     """Apply an action sequence from a fresh reset and materialize transitions:
     :func:`run_policy` under the scripted policy ``actions[t]``."""
-    run = run_policy(config, seed, lambda state: actions[state.t], len(actions), keep_transitions=True, tape=tape)
+    run = run_policy(config, seed, lambda state: actions[state.t], len(actions), tape=tape)
     return run.cumulative_reward, run.transitions
 
 

@@ -79,7 +79,7 @@ def test_make_policy_validation():
 
 
 def test_run_policy_collects_consistent_transitions():
-    run = run_policy(CFG, 12, make_policy("rule"), 25, keep_transitions=True)
+    run = run_policy(CFG, 12, make_policy("rule"), 25)
     assert len(run.actions) == len(run.transitions) == 25
     assert run.cumulative_reward == pytest.approx(sum(tr.reward for tr in run.transitions), rel=1e-12)
     assert all(not tr.truncated for tr in run.transitions)  # 25 < episode_len

@@ -8,7 +8,7 @@ import pytest
 
 from sortplant import bench
 from sortplant.config import ConfigError, EnvConfig
-from sortplant.env import ContractViolation, TapeStack
+from sortplant.env import ContractViolation
 from sortplant.baselines import make_policy, random_actions, rule_based_actions, run_policy
 from sortplant.bench import (
     STACK_SEEDS,
@@ -45,21 +45,23 @@ def test_summarize_order_invariant():
 
 def test_rb_closed_loop_equals_replayed_sequence():
     run = run_policy(CFG, 17, make_policy("rule"), 30)
-    assert evaluate_strategy("RB", CFG, 17, 30, SMALL_GA)[0] == run.cumulative_reward
+    assert score_open_loop(CFG, (17,), ("RB",), 30) == [run.cumulative_reward]
     assert episode_reward(CFG, 17, run.actions) == run.cumulative_reward
 
 
 @pytest.mark.parametrize("belt_delay", [0, 1, 5])
 def test_open_loop_r_and_rb_cells_equal_closed_loop_runs(belt_delay):
     cfg = EnvConfig(belt_delay=belt_delay)
-    for seed in (0, 7, 999):
-        for strategy, policy in (("R", make_policy("random", policy_seed=seed)), ("RB", make_policy("rule"))):
+    seeds = (0, 7, 999)
+    # one draw per strategy for the whole group, one row per seed
+    drawn = {"R": random_actions(seeds, 100), "RB": rule_based_actions(cfg, seeds, 100)}
+    rewards = score_open_loop(cfg, seeds, ("R", "RB"), 100)
+    for k, seed in enumerate(seeds):
+        for i, (strategy, policy) in enumerate((("R", make_policy("random", policy_seed=seed)), ("RB", make_policy("rule")))):
             run = run_policy(cfg, seed, policy, 100)
             assert set(run.actions) == {0, 1}
-            reward, _ = evaluate_strategy(strategy, cfg, seed, 100, SMALL_GA)
-            assert reward.hex() == run.cumulative_reward.hex()
-        assert random_actions(seed, 100) == run_policy(cfg, seed, make_policy("random", policy_seed=seed), 100).actions
-        assert rule_based_actions(TapeStack(cfg, (seed,)), 100) == [run_policy(cfg, seed, make_policy("rule"), 100).actions]
+            assert drawn[strategy][k] == run.actions
+            assert rewards[i * len(seeds) + k].hex() == run.cumulative_reward.hex()
 
 
 def test_bf_dominates_ga_cellwise():
@@ -80,6 +82,12 @@ def test_spec_validation():
         BenchSpec(strategies=("R",), seeds=(1500,), horizon=5)  # campaign pool
     with pytest.raises(ContractViolation):
         BenchSpec(strategies=("BF",), seeds=(0,), horizon=21)
+    with pytest.raises(ContractViolation, match="need one or more distinct strategies"):
+        BenchSpec(strategies=(), seeds=(0,), horizon=5)
+    with pytest.raises(ContractViolation, match=r"distinct strategies .*, got \['R', 'RB', 'R'\]"):
+        BenchSpec(strategies=("R", "RB", "R"), seeds=(0,), horizon=5)
+    with pytest.raises(ContractViolation, match="seed list must be nonempty"):
+        BenchSpec(strategies=("R",), seeds=(), horizon=5)
 
 
 def test_run_bench_and_emit(tmp_path):
@@ -160,7 +168,7 @@ def test_stacked_cells_are_independent_of_worker_count(count, horizon, tmp_path)
     assert [row[0] for row in rows] == [s for s in strategies for _ in seeds]
     for strategy, seed, reward in rows:
         if strategy != "BF":
-            alone, _ = evaluate_strategy(strategy, cfg, int(seed), horizon, SMALL_GA)
+            (alone,) = score_open_loop(cfg, (int(seed),), (strategy,), horizon)
             assert float(reward).hex() == alone.hex()
 
 
@@ -184,6 +192,10 @@ def test_open_loop_cells_are_scored_in_stacks(monkeypatch):
 def test_score_open_loop_rejects_planners():
     with pytest.raises(ContractViolation, match="not an open-loop strategy"):
         score_open_loop(CFG, (0, 1), ("R", "GA"), 5)
+    # and the planner path does not score the open-loop strategies
+    for strategy in bench.OPEN_LOOP:
+        with pytest.raises(ContractViolation, match="not a planner strategy"):
+            evaluate_strategy(strategy, CFG, 0, 5, SMALL_GA)
 
 
 def test_external_scores_merge(tmp_path):

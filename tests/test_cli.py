@@ -212,6 +212,23 @@ def test_bad_external_scores_are_usage_errors(rows, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "strategies, seeds, message",
+    [
+        ("", "0..2", "need one or more distinct strategies"),
+        ("R,R", "0..2", "got ['R', 'R']"),
+        ("R,RB", "", "seed list must be nonempty"),
+        ("GA", "", "seed list must be nonempty"),
+    ],
+    ids=["no-strategy", "repeated-strategy", "no-seed", "no-seed-ga"],
+)
+def test_bad_bench_strategy_or_seed_lists_are_usage_errors(strategies, seeds, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["bench", "--strategies", strategies, "--seeds", seeds, "--len", "5", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_rejects_campaign_seeds(tmp_path):
     assert main(["bench", "--strategies", "R", "--seeds", "1000..1002", "--len", "5", "--out", str(tmp_path)]) == 1
 

@@ -101,6 +101,14 @@ def test_type_errors_rejected():
         config_from_mapping({"purity_thresholds": 0.8})
 
 
+@pytest.mark.parametrize("key", ["n_materials", "episode_len", "seasonal_period", "belt_delay", "n_presses", "press_duration"])
+def test_integer_keys_reject_floats_and_booleans(key):
+    # the integer keys are the fields whose default is an int
+    for value in (2.0, True):
+        with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
+            config_from_mapping({key: value})
+
+
 def test_yaml_non_finite_values_rejected(tmp_path):
     path = tmp_path / "cfg.yaml"
     for text in ("penalty_factor: .nan\n", "batch_max: .inf\n"):

@@ -154,20 +154,20 @@ def test_validate_detects_byte_tamper(campaign, tmp_path):
     assert any(v.rule == "digest" for v in report.violations)
 
 
-def test_validate_detects_reward_rewrite_behind_fresh_digest(campaign, tmp_path):
-    # recomputing the digest hides the tamper from the hash check, so the
-    # replay comparison has to catch it
+def _rewrite_behind_fresh_digest(campaign, copy, index, edit):
+    """Copy the campaign to ``copy``, apply ``edit`` to transition ``index``
+    of the first accepted file and refresh that file's sha256, so the hash
+    check passes and only the replay comparison can catch the tamper."""
     out, manifest = campaign
-    copy = tmp_path / "rewritten"
     copy.mkdir()
     for path in out.iterdir():
         (copy / path.name).write_bytes(path.read_bytes())
     name = manifest.accepted[0]["file"]
     victim = copy / name
     lines = victim.read_text().splitlines()
-    record = json.loads(lines[0])
-    record["reward"] += 1e-6
-    lines[0] = json.dumps(record)
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record)
     victim.write_text("\n".join(lines) + "\n")
 
     manifest_doc = json.loads((copy / "manifest.json").read_text())
@@ -176,9 +176,28 @@ def test_validate_detects_reward_rewrite_behind_fresh_digest(campaign, tmp_path)
             entry["sha256"] = sha256_file(victim)
     (copy / "manifest.json").write_text(json.dumps(manifest_doc, indent=2) + "\n")
 
+
+def test_validate_detects_reward_rewrite_behind_fresh_digest(campaign, tmp_path):
+    copy = tmp_path / "rewritten"
+    _rewrite_behind_fresh_digest(campaign, copy, 0, lambda record: record.update(reward=record["reward"] + 1e-6))
     report = validate_dataset(copy)
     assert not report.ok
     assert any(v.rule == "replay" for v in report.violations)
+
+
+@pytest.mark.parametrize("key, index, value", [("obs", 0, 0.5), ("next_obs", 30, 0.25)], ids=["obs", "next_obs"])
+def test_validate_detects_observation_rewrite_behind_fresh_digest(campaign, tmp_path, capsys, key, index, value):
+    # the rewards and the cumulative reward still match; only the
+    # observations a replay buffer would consume are wrong
+    def edit(record):
+        record[key][index] += value
+
+    copy = tmp_path / "rewritten"
+    _rewrite_behind_fresh_digest(campaign, copy, 3, edit)
+    report = validate_dataset(copy)
+    assert [(v.rule, v.detail) for v in report.violations] == [("replay", f"transition 3 {key} mismatch")]
+    assert main(["validate", str(copy)]) == 2
+    assert "[replay] transition 3" in capsys.readouterr().out
 
 
 def test_validate_detects_missing_file(campaign, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sortplant.cli import main
 from sortplant.config import EnvConfig
-from sortplant.env import BLOCK, STACK_ROWS, InputTape, TapeStack, _fill_block, generate_input, sort_batch
+from sortplant.env import BLOCK, STACK_ROWS, InputTape, TapeStack, _fill_block, generate_input, head_batches, sort_batch
 from sortplant.rng import Stream, noise_block, noise_draw
 from test_sort import stream_jitters
 
@@ -111,21 +111,25 @@ def test_stacked_fill_matches_one_seed_tapes(cfg, stacked, t):
         own = _fill_block(cfg, (seed,), t0, BLOCK)
         for name, array in zip(block._fields, block):
             assert hexes(array[k]) == hexes(getattr(own, name)[0]), name
-    # and the stack's per-step tables and head batches agree with a stack of
-    # each seed alone, whose block length differs, and with its tape
+    # and the stack's per-step tables and the stacked head batches of steps
+    # 0 .. n-1 agree with each seed alone, whose block length differs, and
+    # with its tape
     stack = TapeStack(cfg, stacked)
     assert stack.block_len == STACK_ROWS // len(stacked)
     deposits, totals = stack.sorted_deposits(t)
     n = 2 * BLOCK
-    heads = stack.head_quantities(n)
+    heads = head_batches(cfg, stacked, -cfg.belt_delay, n)
     for k, seed in enumerate(stacked):
         own = TapeStack(cfg, (seed,))
         own_deposits, own_totals = own.sorted_deposits(t)
         assert hexes(deposits[:, :, 2 * k : 2 * k + 2]) == hexes(own_deposits)
         assert hexes(totals[:, 2 * k : 2 * k + 2]) == hexes(own_totals)
-        assert hexes(heads[k]) == hexes(own.head_quantities(n))
+        own_heads = head_batches(cfg, (seed,), -cfg.belt_delay, n)
+        assert all(hexes(array[k]) == hexes(own_array[0]) for array, own_array in zip(heads, own_heads))
         tape = InputTape(cfg, seed)
-        assert hexes(heads[k]) == hexes([tape.batch(s - cfg.belt_delay).quantities for s in range(n)])
+        batches = [tape.batch(s - cfg.belt_delay) for s in range(n)]
+        assert hexes(heads[0][k]) == hexes([batch.quantities for batch in batches])
+        assert hexes(heads[1][k]) == hexes([batch.total for batch in batches])
         for action in (0, 1):
             assert hexes(own_deposits[:, :, action]) == hexes(tape.sort_outcome(t, action).deposits)
 
