@@ -8,6 +8,7 @@ import itertools
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,17 @@ def test_evaluate_population_contract(bits, match):
     if isinstance(bits[0], list):  # the scalar path refuses the same rows
         with pytest.raises(ContractViolation):
             episode_reward(CFG, 0, bits[0])
+
+
+@pytest.mark.parametrize(
+    "shape, expected",
+    [((0, 5), []), ((3, 0), [0.0, 0.0, 0.0])],
+    ids=["no-columns", "no-steps"],
+)
+def test_evaluate_population_empty_shapes(shape, expected):
+    rewards = evaluate_population(TapeStack(CFG, (0,)), np.zeros(shape, dtype=np.int64))
+    assert rewards.shape == (len(expected),)
+    assert rewards.tolist() == expected
 
 
 # --- brute force -----------------------------------------------------------
