@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import EnvConfig
-from .rng import Stream, noise_block, noise_draw
+from .rng import Stream, noise_block, noise_draw, noise_draws
 
 N_MATERIALS = 4
 CONTAINER_E = 4
@@ -269,8 +269,7 @@ def generate_input(config: EnvConfig, seed: int, t: int) -> MaterialBatch:
     phase = _TWO_PI * t / config.seasonal_period
     amp = config.seasonal_amplitude
     weights = []
-    for m in range(N_MATERIALS):
-        u = noise_draw(seed, Stream.INPUT_MIX, t, m)
+    for m, u in enumerate(noise_draws(seed, Stream.INPUT_MIX, t, N_MATERIALS)):
         w = u * (1.0 + amp * math.sin(phase + m * (math.pi / 2.0)))
         weights.append(w if w > 0.01 else 0.01)
     wsum = weights[0] + weights[1] + weights[2] + weights[3]
@@ -604,10 +603,13 @@ def reset(config: EnvConfig, seed: int, tape: Optional[InputTape] = None) -> tup
 
     The belt starts full: at step 0 it holds the tape batches of
     t = -belt_delay .. -1.  None is generated up front except the two the
-    observation reads, so the cost does not depend on belt_delay.
+    observation reads, so the cost does not depend on belt_delay.  A given
+    ``tape`` must be the tape of (config, seed).
     """
     if tape is None:
         tape = InputTape(config, seed)
+    elif tape.seed != seed or tape.config != config:
+        raise ContractViolation("the tape belongs to another (config, seed) pair")
     state = EnvState(
         config=config,
         t=0,

@@ -8,10 +8,11 @@ controller performance, not a controller.
 Both score through :func:`evaluate_population`, which steps a whole batch of
 candidates through a :class:`~sortplant.env.TapeStack` on numpy arrays and
 returns, bit for bit, what :func:`episode_reward` (the scalar reference path)
-returns for each.  A planner's stack holds its one seed.  The GA scores each
-generation's new candidates in one call in this process; BF scores its codes
-in chunks of ``BRUTE_FORCE_CHUNK`` and can spread code ranges over worker
-processes.
+returns for each.  A planner's stack holds its one seed.  The GA scores its
+initial population and each generation's children in one call each, in this
+process; BF scores its codes in chunks of ``BRUTE_FORCE_CHUNK`` and can
+spread code ranges over worker processes.  A result's ``evaluations`` counts
+the candidates it scored, duplicates included.
 
 The columns of one call may play different seeds of a wider stack:
 ``tape_of_col[i]`` is the index into the stack's seeds of the seed column i
@@ -82,7 +83,7 @@ class GaResult:
     best_reward: float
     initial_stats: GenStats
     per_generation: list[GenStats]
-    evaluations: int
+    evaluations: int  # population * (generations + 1) candidates scored
 
 
 @dataclass
@@ -305,31 +306,6 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-class _FitnessOracle:
-    """Memoized frozen-seed fitness.
-
-    Each call scores the candidates not seen before, deduplicated in
-    first-appearance order, in one :func:`evaluate_population` call.  A
-    candidate is keyed by ``bytes(bits)``, one byte per action where a tuple
-    key holds an eight-byte pointer per action; the cache keeps every
-    candidate of a run.
-    """
-
-    def __init__(self, config: EnvConfig, seed: int) -> None:
-        self.stack = TapeStack(config, (seed,))
-        self.cache: dict[bytes, float] = {}
-        self.evaluations = 0
-
-    def fitnesses(self, population: Sequence[Sequence[int]]) -> list[float]:
-        keys = [bytes(bits) for bits in population]
-        todo = list(dict.fromkeys(key for key in keys if key not in self.cache))
-        if todo:
-            self.evaluations += len(todo)
-            bits = np.frombuffer(b"".join(todo), dtype=np.uint8).reshape(len(todo), -1)
-            self.cache.update(zip(todo, evaluate_population(self.stack, bits).tolist()))
-        return [self.cache[key] for key in keys]
-
-
 # ---------------------------------------------------------------------------
 # planners
 # ---------------------------------------------------------------------------
@@ -378,43 +354,42 @@ def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams) -> GaRes
 
     Tournament selection (size 2), single-point crossover, independent
     per-bit mutation.  The breeding population carries no elite; the best
-    candidate ever evaluated is archived separately and returned.  All
+    candidate ever scored is archived separately and returned.  All
     stochastic choices come from one sequential stream seeded by ga_seed and
-    are drawn before fitness dispatch.  Each generation's new candidates are
-    scored in one :func:`evaluate_population` call.
+    are drawn before fitness dispatch.  The initial population and each
+    generation's children are scored in one :func:`evaluate_population` call
+    each, duplicates included.
     """
     if n < 1:
         raise ContractViolation("horizon must be >= 1")
+    if n > config.episode_len:
+        raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
     rng = random.Random(params.ga_seed)
-    oracle = _FitnessOracle(config, seed)
+    stack = TapeStack(config, (seed,))
     population = [[rng.randrange(2) for _ in range(n)] for _ in range(params.population)]
-    fitnesses = oracle.fitnesses(population)
-    best_idx = max(range(len(fitnesses)), key=lambda i: fitnesses[i])
-    best_bits = tuple(population[best_idx])
-    best_reward = fitnesses[best_idx]
-    initial_stats = _gen_stats(fitnesses)
-
-    per_generation: list[GenStats] = []
-    for _ in range(params.generations):
-        children: list[list[int]] = []
-        while len(children) < params.population:
-            pa = population[tournament_select(population, fitnesses, rng)]
-            pb = population[tournament_select(population, fitnesses, rng)]
-            if n >= 2 and rng.random() < params.crossover_rate:
-                cut = rng.randint(1, n - 1)
-                ca, cb = crossover(pa, pb, cut)
-            else:
-                ca, cb = list(pa), list(pb)
-            children.append(mutate(ca, params.mutation_rate, rng))
-            children.append(mutate(cb, params.mutation_rate, rng))
-        population = children[: params.population]
-        fitnesses = oracle.fitnesses(population)
-        per_generation.append(_gen_stats(fitnesses))
-        gen_best = max(range(len(fitnesses)), key=lambda i: fitnesses[i])
-        if fitnesses[gen_best] > best_reward:
-            best_reward = fitnesses[gen_best]
-            best_bits = tuple(population[gen_best])
-    return GaResult(best_bits, best_reward, initial_stats, per_generation, oracle.evaluations)
+    best_bits, best_reward = (), -math.inf
+    stats: list[GenStats] = []
+    for generation in range(params.generations + 1):
+        if generation:
+            children: list[list[int]] = []
+            while len(children) < params.population:
+                pa = population[tournament_select(population, fitnesses, rng)]
+                pb = population[tournament_select(population, fitnesses, rng)]
+                if n >= 2 and rng.random() < params.crossover_rate:
+                    cut = rng.randint(1, n - 1)
+                    ca, cb = crossover(pa, pb, cut)
+                else:
+                    ca, cb = list(pa), list(pb)
+                children.append(mutate(ca, params.mutation_rate, rng))
+                children.append(mutate(cb, params.mutation_rate, rng))
+            population = children[: params.population]
+        bits = np.frombuffer(b"".join(map(bytes, population)), np.uint8).reshape(params.population, n)
+        fitnesses = evaluate_population(stack, bits).tolist()
+        stats.append(_gen_stats(fitnesses))
+        best = max(range(params.population), key=lambda i: fitnesses[i])
+        if fitnesses[best] > best_reward:
+            best_bits, best_reward = tuple(population[best]), fitnesses[best]
+    return GaResult(best_bits, best_reward, stats[0], stats[1:], params.population * (params.generations + 1))
 
 
 def _gen_stats(fitnesses: Sequence[float]) -> GenStats:

@@ -40,6 +40,11 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _stream_key(seed: int, stream: int) -> int:
+    """The (seed, stream) prefix of every draw key."""
+    return mix64(mix64(seed & _MASK64) ^ int(stream))
+
+
 def noise_draw(seed: int, stream: int, t: int, channel: int) -> float:
     """Uniform draw in [0, 1) keyed by (seed, stream, step, channel).
 
@@ -47,8 +52,15 @@ def noise_draw(seed: int, stream: int, t: int, channel: int) -> float:
     batches already on the belt at reset (t = -delay .. -1) use the same
     recipe as in-episode draws.
     """
-    u = mix64(mix64(mix64(mix64(seed & _MASK64) ^ int(stream)) ^ (t & _MASK64)) ^ (channel & _MASK64))
+    u = mix64(mix64(_stream_key(seed, stream) ^ (t & _MASK64)) ^ (channel & _MASK64))
     return (u >> 11) * _INV_2_53
+
+
+def noise_draws(seed: int, stream: int, t: int, channels: int) -> list[float]:
+    """``[noise_draw(seed, stream, t, c) for c in range(channels)]`` bit for
+    bit, with the (seed, stream, step) key mixed once."""
+    key = mix64(_stream_key(seed, stream) ^ (t & _MASK64))
+    return [(mix64(key ^ c) >> 11) * _INV_2_53 for c in range(channels)]
 
 
 def noise_block(seeds: Sequence[int], stream: int, t0: int, steps: int, channels: int) -> np.ndarray:
@@ -60,7 +72,7 @@ def noise_block(seeds: Sequence[int], stream: int, t0: int, steps: int, channels
     is mixed once in Python.  ``t0`` may be any integer: only its low 64 bits
     enter.
     """
-    keys = np.array([mix64(mix64(seed & _MASK64) ^ int(stream)) for seed in seeds], dtype=np.uint64)
+    keys = np.array([_stream_key(seed, stream) for seed in seeds], dtype=np.uint64)
     ts = np.arange(steps, dtype=np.uint64)
     ts += np.uint64(t0 & _MASK64)
     z = _mix64_array(keys[:, None] ^ ts)[:, :, None] ^ np.arange(channels, dtype=np.uint64)

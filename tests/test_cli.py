@@ -41,6 +41,16 @@ def test_brute_over_cap_is_usage_error(capsys):
     assert main(["brute", "--seed", "7", "--len", "25"]) == 1
 
 
+@pytest.mark.parametrize("length", ["101", "1000000"])
+def test_ga_over_episode_len_fails_before_building(length, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the horizon is checked before any candidate is built")
+
+    monkeypatch.setattr("sortplant.planners.TapeStack", unreachable)
+    assert main(["ga", "--seed", "1", "--len", length, "--pop", "4", "--gens", "1"]) == 1
+    assert f"{length} actions exceed episode_len 100" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("episod_len: 10\n")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
 from sortplant.env import BLOCK, ContractViolation, InputTape, advance, generate_input, reset, step
+from sortplant.planners import episode_reward, rollout
 from sortplant.rng import Stream, noise_draw
 
 CFG = EnvConfig()
@@ -78,6 +79,25 @@ def test_reset_is_deterministic_and_prefills_belt():
     assert list(o1[0:4]) == [q / CFG.batch_max for q in belt[-1]]
     assert list(o1[5:9]) == [q / CFG.batch_max for q in belt[0]]
     assert s1.bales == [] and s1.last_action is None
+
+
+@pytest.mark.parametrize(
+    "replay",
+    [
+        lambda config, seed, tape: reset(config, seed, tape),
+        lambda config, seed, tape: episode_reward(config, seed, [0, 1], tape),
+        lambda config, seed, tape: rollout(config, seed, [0, 1], tape),
+    ],
+    ids=["reset", "episode_reward", "rollout"],
+)
+def test_a_tape_replays_only_its_own_config_and_seed(replay):
+    tape = InputTape(CFG, 7)
+    replay(CFG, 7, tape)
+    replay(EnvConfig(), 7, tape)  # an equal config
+    with pytest.raises(ContractViolation, match="another"):
+        replay(CFG, 8, tape)
+    with pytest.raises(ContractViolation, match="another"):
+        replay(EnvConfig(penalty_factor=4.0), 7, tape)
 
 
 def test_reset_golden_head_batches_differ_by_seed():

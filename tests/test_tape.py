@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sortplant.cli import main
 from sortplant.config import EnvConfig
 from sortplant.env import BLOCK, STACK_ROWS, InputTape, TapeStack, _fill_block, generate_input, head_batches, sort_batch
-from sortplant.rng import Stream, noise_block, noise_draw
+from sortplant.rng import Stream, noise_block, noise_draw, noise_draws
 from test_sort import stream_jitters
 
 
@@ -96,6 +96,7 @@ def test_noise_block_matches_noise_draw(seed, stream, t0):
     block = noise_block(stacked, stream, t0, 4, 3)
     assert block.shape == (3, 4, 3)
     assert block.tolist() == [[[noise_draw(s, stream, t0 + i, c) for c in range(3)] for i in range(4)] for s in stacked]
+    assert noise_draws(seed, stream, t0, 3) == block[0, 0].tolist()
 
 
 @settings(max_examples=40, deadline=None)
