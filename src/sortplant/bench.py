@@ -46,8 +46,9 @@ OPEN_LOOP = ("R", "RB")
 # seeds per TapeStack in run_bench, so R and RB cells per evaluate_population
 # call are at most twice this.  The per-step cost of that call barely grows
 # with its width, and the stack's working set is one block of about
-# env.STACK_ROWS seed-steps (STACK_ROWS // STACK_SEEDS steps of each seed);
-# see ROADMAP item 2 for the measured time and peak memory
+# env.STACK_ROWS seed-steps (STACK_ROWS // STACK_SEEDS steps of each seed).
+# The sizing table in the "Stacked tapes" entry of CHANGES.md and the runs in
+# BENCH_7.json hold the measured time and peak memory
 STACK_SEEDS = 25
 
 PER_SEED_HEADER = "strategy,seed,reward"

@@ -4,11 +4,11 @@ Subcommands: simulate, brute, ga, demo-gen, validate, bench, defaults.
 Exit codes: 0 success, 1 usage or config error, 2 validation failure,
 3 I/O error.  Progress and timing go to stderr; machine-readable results go
 to files or stdout, and never depend on timing.  --workers N (N >= 1) on
-brute, demo-gen and bench spreads BF code ranges, campaign seeds or bench
-cells over N processes through planners.parallel_map; it changes wall time
-only, never any number.  At most os.cpu_count() processes are opened, and
-brute cuts at most that many code ranges, whatever N.  The GA scores each
-generation in one batched call, so ga takes no --workers.
+demo-gen and bench spreads campaign seeds or bench cells over N processes
+through planners.parallel_map; it changes wall time only, never any number.
+At most os.cpu_count() processes are opened, whatever N.  Only those two
+commands take --workers: the GA scores each generation in one batched call,
+and brute walks its decision tree in one process.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
     _add_config_arg(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--len", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", type=Path, default=None, help="also write the result record here")
 
     p = sub.add_parser("ga", help="evolve an action sequence against one frozen seed")
@@ -209,7 +208,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_brute(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     start = perf_counter()
-    result = brute_force(config, args.seed, args.len, workers=args.workers)
+    result = brute_force(config, args.seed, args.len)
     _report_rate("brute", result.evaluations, perf_counter() - start)
     _emit(
         {

@@ -48,8 +48,9 @@ BLOCK = 128
 # seeds x steps per block of a TapeStack, which holds one block at a time:
 # a stack of S seeds fills blocks of STACK_ROWS // S steps, since its peak
 # memory grows with the rows and its fill cost with the number of blocks (a
-# stack of one covers a GA horizon of up to 400 steps with one fill); see
-# ROADMAP item 2 for the measurements behind the value
+# stack of one covers a GA horizon of up to 400 steps with one fill).  The
+# sizing table in the "Stacked tapes" entry of CHANGES.md and the runs in
+# BENCH_7.json hold the measurements behind the value
 STACK_ROWS = 400
 
 # mode 0 boosts A and C, mode 1 boosts B and D

@@ -5,14 +5,17 @@ realizes the same inputs no matter which actions are applied, so the episode
 reward is a pure function of the bit sequence.  That gives an upper bound on
 controller performance, not a controller.
 
-Both score through :func:`evaluate_population`, which steps a whole batch of
-candidates through a :class:`~sortplant.env.TapeStack` on numpy arrays and
-returns, bit for bit, what :func:`episode_reward` (the scalar reference path)
-returns for each.  A planner's stack holds its one seed.  The GA scores its
-initial population and each generation's children in one call each, in this
-process; BF scores its codes in chunks of ``BRUTE_FORCE_CHUNK`` and can
-spread code ranges over worker processes.  A result's ``evaluations`` counts
-the candidates it scored, duplicates included.
+Both run the plant rules as one array step, :func:`_step`, which advances
+the columns of a :class:`_Columns` state through one step of a
+:class:`~sortplant.env.TapeStack` and keeps every column equal, bit for bit,
+to what :func:`episode_reward` (the scalar reference path) computes.  A
+planner's stack holds its one seed.  The GA scores its initial population
+and each generation's children through :func:`evaluate_population`, one call
+each, duplicates included; ``GaResult.evaluations`` counts those candidates.
+BF walks the decision tree on the same step, one column per prefix, so a
+shared prefix is simulated once; it runs in this process, with no chunks
+and no pool, and ``BruteForceResult.evaluations`` is the 2**n sequences it
+decides between.
 
 The columns of one call may play different seeds of a wider stack:
 ``tape_of_col[i]`` is the index into the stack's seeds of the seed column i
@@ -21,6 +24,7 @@ plays.  The benchmark scores the R and RB cells of many seeds this way.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -42,11 +46,15 @@ MAX_POPULATION = 10_000
 # 400x the default: generations run one after another, so a larger value
 # only makes a run hang
 MAX_GENERATIONS = 10_000
-# codes per evaluate_population call in brute_force.  At chunks of 256, 512
-# and 1024, one seed of the default config took 0.119, 0.084 and 0.072 s at
-# n = 14 and 2.37, 1.58 and 1.42 s at n = 18, with a max RSS of 35.6, 36.0
-# and 36.4 MB (median of 7 fresh processes each, 2-CPU Linux container)
-BRUTE_FORCE_CHUNK = 256
+# most columns one brute_force step advances; a wider level of the tree is
+# cut in halves, finished one after the other.  At W = 512, 1024 and 4096 one
+# default-config seed took 9.5, 9.5 and 9.4 ms at n = 14 (medians of 40
+# calls) and 0.58, 0.59 and 0.61 s at n = 20 (medians of 3), with a max RSS
+# of 34.2, 34.8 and 37.0 MB at n = 14 and 34.5, 35.4 and 39.8 MB at n = 20
+# (fresh processes, 2-CPU Linux container).  The chunked scan the tree
+# replaced took 55-60 ms and 5.9-6.1 s, at 35.0 and 34.9 MB.  512 is as fast
+# as 1024 (interleaved medians within 3%) and holds the least memory
+BRUTE_FORCE_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -102,22 +110,56 @@ def episode_reward(config: EnvConfig, seed: int, actions: Sequence[int], tape: O
     return total
 
 
-def evaluate_population(
-    stack: TapeStack, bits: Sequence[Sequence[int]] | np.ndarray, tape_of_col: Optional[Sequence[int] | np.ndarray] = None
-) -> np.ndarray:
-    """Frozen-seed rewards of P action sequences scored together.
+# a container that is not waiting for a press
+_NOT_WAITING = np.iinfo(np.int64).max
 
-    ``bits`` is a (P, n) 0/1 matrix, and ``tape_of_col[i]`` is the index
-    into ``stack.seeds`` of the seed that column i plays.  Entry i of the
-    result equals ``episode_reward(stack.config, seed, bits[i])`` for that
-    seed, bit for bit, so one call scores many seeds.  ``tape_of_col``
-    defaults to all zeros, the first (or only) seed.
 
-    The P episodes step through numpy state arrays with the population on
-    the last axis: contents (5, 4, P), pending_since (5, P) and busy_until
-    (n_presses, P).  Each step reads both sorts of every seed
-    (``stack.sorted_deposits``) and gathers column i's deposits at
-    ``2 * tape_of_col[i] + bits[i, t]``.  The rules of
+class _Columns(NamedTuple):
+    """The plant state of P episodes, one per column on the last axis."""
+
+    contents: np.ndarray  # (5, 4, P) material in each container
+    pending: np.ndarray  # (5, P) pending_since, int64 max when not waiting
+    busy: np.ndarray  # (n_presses, P) busy_until
+    total: np.ndarray  # (P,) reward so far
+
+    @classmethod
+    def start(cls, config: EnvConfig, pop: int) -> _Columns:
+        """P episodes at step 0: empty containers, idle presses, no reward."""
+        return cls(
+            np.zeros((N_CONTAINERS, N_MATERIALS, pop)),
+            np.full((N_CONTAINERS, pop), _NOT_WAITING, dtype=np.int64),
+            np.zeros((config.n_presses, pop), dtype=np.int64),
+            np.zeros(pop),
+        )
+
+    def halves(self) -> tuple[_Columns, _Columns]:
+        """The first half of the columns as a view and the second as a copy,
+        so this state's arrays are freed once the first half is dropped."""
+        half = len(self.total) // 2
+        return _Columns(*(a[..., :half] for a in self)), _Columns(*(a[..., half:].copy() for a in self))
+
+    def branch(self) -> _Columns:
+        """Each column twice in a row, as new arrays: column 2j + a of the
+        result continues column j of this state."""
+        return _Columns(*(np.repeat(a, 2, axis=-1) for a in self))
+
+
+@functools.lru_cache(maxsize=8)
+def _purity_column(thresholds: tuple[float, ...]) -> np.ndarray:
+    """The purity thresholds as a read-only (4, 1) column, built once per
+    config rather than on every step."""
+    column = np.array(thresholds)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _step(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
+    """Advance every column of ``state`` through step t, in place.
+
+    Column i sorts step t's head batch as entry ``cols[i]`` of
+    ``stack.sorted_deposits(t)``.  Callers run it under
+    ``np.errstate(divide="ignore", invalid="ignore")``: an empty container's
+    purity is 0/0, which the reward discards.  The rules of
     :func:`update_containers_and_presses` and :func:`compute_reward` are
     mirrored operation for operation:
 
@@ -140,6 +182,80 @@ def evaluate_population(
       the first of equal minima, which is the lower index.  So a press
       takes at most one job per step;
     - an empty container adds 0.0 to the step reward.
+
+    Each column's arithmetic is its own, so a column's result does not
+    depend on the other columns of the call.
+    """
+    config = stack.config
+    capacity = config.container_capacity
+    threshold = config.pressing_threshold
+    duration = config.press_duration
+    penalty = config.penalty_factor
+    purity_thresholds = _purity_column(config.purity_thresholds)
+    not_waiting = _NOT_WAITING
+    contents, pending, busy, total = state
+    pop = total.shape[0]
+    designated_contents = contents[:N_MATERIALS]
+    e_contents = contents[CONTAINER_E]
+
+    table, table_totals = stack.sorted_deposits(t)
+    deposits = table[:, :, cols]
+    dep_total = table_totals[:, cols]
+
+    # deposits: containers A-D are independent of each other, but E
+    # takes their overflow in container order, then its own deposit
+    c = designated_contents
+    headroom = capacity - (((c[:, 0] + c[:, 1]) + c[:, 2]) + c[:, 3])
+    fits = headroom >= dep_total
+    if fits.all():  # exact, see the docstring
+        contents += deposits
+    else:
+        keep = np.where(fits, 1.0, np.where(headroom <= 0.0, 0.0, headroom / dep_total))
+        c += deposits[:N_MATERIALS] * keep[:, None]
+        spill = deposits[:N_MATERIALS] * (1.0 - keep)[:, None]
+        e_contents += spill[0]
+        e_contents += spill[1]
+        e_contents += spill[2]
+        e_contents += spill[3]
+        e_contents += deposits[CONTAINER_E]
+
+    fill = ((contents[:, 0] + contents[:, 1]) + contents[:, 2]) + contents[:, 3]
+    np.minimum(pending, np.where(fill >= threshold, t, not_waiting), out=pending)
+    if pending.min() != not_waiting:
+        columns = np.arange(pop)
+        for p in range(config.n_presses):
+            idle = busy[p] <= t
+            first = pending.argmin(axis=0)
+            take = idle & (pending[first, columns] != not_waiting)
+            rows, cols = first[take], columns[take]
+            contents[rows, :, cols] = 0.0
+            fill[rows, cols] = 0.0
+            pending[rows, cols] = not_waiting
+            busy[p, take] = t + duration
+
+    filled = fill[:N_MATERIALS]
+    # contents[m, m, :] for m in A-D: the rows of contents seen as (20, P)
+    # step by N_MATERIALS + 1
+    own = contents.reshape(N_CONTAINERS * N_MATERIALS, pop)[:: N_MATERIALS + 1]
+    deviation = own / filled - purity_thresholds
+    reward = np.where(filled > 0.0, np.where(deviation >= 0.0, deviation, penalty * deviation), 0.0)
+    total += ((reward[0] + reward[1]) + reward[2]) + reward[3]
+
+
+def evaluate_population(
+    stack: TapeStack, bits: Sequence[Sequence[int]] | np.ndarray, tape_of_col: Optional[Sequence[int] | np.ndarray] = None
+) -> np.ndarray:
+    """Frozen-seed rewards of P action sequences scored together.
+
+    ``bits`` is a (P, n) 0/1 matrix, and ``tape_of_col[i]`` is the index
+    into ``stack.seeds`` of the seed that column i plays.  Entry i of the
+    result equals ``episode_reward(stack.config, seed, bits[i])`` for that
+    seed, bit for bit, so one call scores many seeds.  ``tape_of_col``
+    defaults to all zeros, the first (or only) seed.
+
+    The P episodes start as one :class:`_Columns` state and take n
+    :func:`_step` calls; step t gathers column i's deposits at
+    ``2 * tape_of_col[i] + bits[i, t]`` of the stack's sort table.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2:
@@ -161,67 +277,13 @@ def evaluate_population(
     # column i reads entry 2 * tape + action of each step's sort table
     table_cols = bits.astype(np.intp) + 2 * tape_of_col.astype(np.intp)[:, None]
 
-    capacity = config.container_capacity
-    threshold = config.pressing_threshold
-    duration = config.press_duration
-    penalty = config.penalty_factor
-    purity_thresholds = np.array(config.purity_thresholds)[:, None]
-    columns = np.arange(pop)
-    not_waiting = np.iinfo(np.int64).max
-
-    contents = np.zeros((N_CONTAINERS, N_MATERIALS, pop))
-    pending = np.full((N_CONTAINERS, pop), not_waiting, dtype=np.int64)
-    busy = np.zeros((config.n_presses, pop), dtype=np.int64)
-    designated_contents = contents[:N_MATERIALS]
-    e_contents = contents[CONTAINER_E]
-    # contents[m, m, :] for m in A-D: the rows of contents seen as (20, P)
-    # step by N_MATERIALS + 1, a view that follows every in-place write
-    own = contents.reshape(N_CONTAINERS * N_MATERIALS, pop)[:: N_MATERIALS + 1]
-    total = np.zeros(pop)
-    if pop == 0:  # pending.min() below needs a column
-        return total
+    state = _Columns.start(config, pop)
+    if pop == 0:  # pending.min() in _step needs a column
+        return state.total
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(n):
-            table, table_totals = stack.sorted_deposits(t)
-            cols = table_cols[:, t]
-            deposits = table[:, :, cols]
-            dep_total = table_totals[:, cols]
-
-            # deposits: containers A-D are independent of each other, but E
-            # takes their overflow in container order, then its own deposit
-            c = designated_contents
-            headroom = capacity - (((c[:, 0] + c[:, 1]) + c[:, 2]) + c[:, 3])
-            fits = headroom >= dep_total
-            if fits.all():  # exact, see the docstring
-                contents += deposits
-            else:
-                keep = np.where(fits, 1.0, np.where(headroom <= 0.0, 0.0, headroom / dep_total))
-                c += deposits[:N_MATERIALS] * keep[:, None]
-                spill = deposits[:N_MATERIALS] * (1.0 - keep)[:, None]
-                e_contents += spill[0]
-                e_contents += spill[1]
-                e_contents += spill[2]
-                e_contents += spill[3]
-                e_contents += deposits[CONTAINER_E]
-
-            fill = ((contents[:, 0] + contents[:, 1]) + contents[:, 2]) + contents[:, 3]
-            np.minimum(pending, np.where(fill >= threshold, t, not_waiting), out=pending)
-            if pending.min() != not_waiting:
-                for p in range(config.n_presses):
-                    idle = busy[p] <= t
-                    first = pending.argmin(axis=0)
-                    take = idle & (pending[first, columns] != not_waiting)
-                    rows, cols = first[take], columns[take]
-                    contents[rows, :, cols] = 0.0
-                    fill[rows, cols] = 0.0
-                    pending[rows, cols] = not_waiting
-                    busy[p, take] = t + duration
-
-            filled = fill[:N_MATERIALS]
-            deviation = own / filled - purity_thresholds
-            reward = np.where(filled > 0.0, np.where(deviation >= 0.0, deviation, penalty * deviation), 0.0)
-            total += ((reward[0] + reward[1]) + reward[2]) + reward[3]
-    return total
+            _step(stack, t, table_cols[:, t], state)
+    return state.total
 
 
 def rollout(
@@ -311,37 +373,46 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def brute_force(config: EnvConfig, seed: int, n: int, workers: int = 1) -> BruteForceResult:
+def brute_force(config: EnvConfig, seed: int, n: int) -> BruteForceResult:
     """Exhaustively score all 2**n sequences; ties pick the lexicographically
-    smallest (0 before 1)."""
+    smallest (0 before 1).
+
+    The search walks the decision tree on one :class:`_Columns` state: level
+    t holds one column per prefix of length t, in code order, and each
+    :func:`_step` doubles it (:meth:`_Columns.branch`), so a shared prefix is
+    simulated once and the 2**n leaves cost about 2**(n + 1) column-steps.
+    A level that would pass ``BRUTE_FORCE_WIDTH`` columns is cut in halves:
+    the lower half goes on, and the upper half waits as a copy.  So no step
+    advances more than that many columns, and each level below the first
+    cut holds at most half of them.  Each group of leaves reduces to its
+    first best code, and groups merge in code order with a strict >, so ties
+    keep the lowest code.
+    """
     if n < 1:
         raise ContractViolation("horizon must be >= 1")
     if n > BRUTE_FORCE_CAP:
         raise ContractViolation(f"brute force refuses n > {BRUTE_FORCE_CAP} (2**{n} rollouts); use the GA instead")
-    total = 1 << n
+    if n > config.episode_len:
+        raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
     stack = TapeStack(config, (seed,))
-    # a pool pays only when there is more than one chunk to share out, and
-    # opens at most one process per CPU, so the spans stop there too
-    parts = min(workers, os.cpu_count() or 1) if total > BRUTE_FORCE_CHUNK else 1
-    partials = parallel_map(_brute_span, [(stack, n, start, stop) for start, stop in _spans(total, parts)], workers)
-    # spans are merged in code order with a strict >, so ties keep the lowest code
-    best_code, best_reward = partials[0]
-    for code, reward in partials[1:]:
-        if reward > best_reward:
-            best_code, best_reward = code, reward
-    return BruteForceResult(_code_to_bits(best_code, n), best_reward, total)
-
-
-def _brute_span(stack: TapeStack, n: int, start: int, stop: int) -> tuple[int, float]:
-    shifts = np.arange(n - 1, -1, -1)  # MSB first, as in _code_to_bits
-    best_code, best_reward = start, -math.inf
-    for low in range(start, stop, BRUTE_FORCE_CHUNK):
-        codes = np.arange(low, min(low + BRUTE_FORCE_CHUNK, stop))
-        rewards = evaluate_population(stack, (codes[:, None] >> shifts) & 1)
-        i = int(np.argmax(rewards))  # the first maximum, so the lowest code
-        if rewards[i] > best_reward:
-            best_code, best_reward = low + i, float(rewards[i])
-    return best_code, best_reward
+    # (state, t, first code) of each group of length-t prefixes still to
+    # finish; the last one holds the lowest codes
+    groups = [(_Columns.start(config, 1), 0, 0)]
+    best_code, best_reward = 0, -math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while groups:
+            state, level, first = groups.pop()
+            for t in range(level, n):
+                width = len(state.total)
+                if 2 * width > BRUTE_FORCE_WIDTH:
+                    state, upper = state.halves()
+                    groups.append((upper, t, first + ((width // 2) << (n - t))))
+                state = state.branch()
+                _step(stack, t, np.arange(len(state.total)) & 1, state)  # action 0 on even columns, 1 on odd
+            i = int(np.argmax(state.total))  # the first maximum, so the lowest code
+            if state.total[i] > best_reward:
+                best_code, best_reward = first + i, float(state.total[i])
+    return BruteForceResult(_code_to_bits(best_code, n), best_reward, 1 << n)
 
 
 def _code_to_bits(code: int, n: int) -> tuple[int, ...]:

@@ -51,6 +51,23 @@ def test_ga_over_episode_len_fails_before_building(length, capsys, monkeypatch):
     assert f"{length} actions exceed episode_len 100" in capsys.readouterr().err
 
 
+def test_brute_over_episode_len_fails_before_building(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the horizon is checked before the tape stack is built")
+
+    monkeypatch.setattr("sortplant.planners.TapeStack", unreachable)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("episode_len: 5\n")
+    assert main(["brute", "--seed", "1", "--len", "8", "--config", str(cfg)]) == 1
+    assert "8 actions exceed episode_len 5" in capsys.readouterr().err
+
+
+def test_brute_has_no_workers_option(capsys):
+    # the tree search runs in one process
+    assert main(["brute", "--seed", "1", "--len", "3", "--workers", "2"]) == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("episod_len: 10\n")
@@ -245,18 +262,19 @@ def test_bench_rejects_campaign_seeds(tmp_path):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["brute", "--seed", "1", "--len", "3"],
-        ["demo-gen", "--seeds", "1000", "--pop", "4", "--gens", "1", "--out", "{tmp}"],
-        ["bench", "--strategies", "R", "--seeds", "0", "--len", "3", "--out", "{tmp}"],
+        # brute takes no --workers at all
+        (["brute", "--seed", "1", "--len", "3"], "error: unrecognized arguments: --workers"),
+        (["demo-gen", "--seeds", "1000", "--pop", "4", "--gens", "1", "--out", "{tmp}"], "error: workers must be >= 1"),
+        (["bench", "--strategies", "R", "--seeds", "0", "--len", "3", "--out", "{tmp}"], "error: workers must be >= 1"),
     ],
     ids=["brute", "demo-gen", "bench"],
 )
-def test_workers_below_one_is_usage_error(argv, workers, tmp_path, capsys):
+def test_workers_below_one_is_usage_error(argv, message, workers, tmp_path, capsys):
     argv = [arg.format(tmp=tmp_path / "out") for arg in argv]
     assert main(argv + ["--workers", workers]) == 1
-    assert "error: workers must be >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sortplant
 from sortplant.config import MAX_EPISODE_LEN, ConfigError, EnvConfig, config_from_mapping, config_to_dict, load_config
 
 
@@ -120,3 +125,11 @@ def test_yaml_non_finite_values_rejected(tmp_path):
 def test_echo_round_trips():
     cfg = EnvConfig(episode_len=7, contamination_coeff=0.5)
     assert config_from_mapping(config_to_dict(cfg)) == cfg
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # PyYAML is imported only by load_config, so a run without --config never pays for it
+    src = os.path.dirname(os.path.dirname(sortplant.__file__))
+    probe = "import sys, sortplant.cli; print('yaml' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"

@@ -273,25 +273,54 @@ def test_brute_force_cap():
         brute_force(CFG, 0, 21)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_brute_force_chunks_match_exhaustive_scan(seed):
-    # 512 codes: two chunks in one process, one per worker with two
-    n = 9
-    tape = InputTape(CFG, seed)
+def _pinned_brute_regimes(test):
+    # n = 10 at width 2, 8 or 64 cuts every level past the first 1, 3 or 6
+    for (_, overrides, *_), width in zip(PINNED_REGIMES, itertools.cycle((2, 8, 64))):
+        test = example(cfg=EnvConfig(**overrides), seed=11, n=10, width=width)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=gate_configs, seed=st.integers(0, 2**32), n=st.integers(1, 10), width=st.sampled_from((2, 8, 64)))
+@_pinned_brute_regimes
+def test_brute_force_tree_matches_scalar_scan(cfg, seed, n, width):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "BRUTE_FORCE_WIDTH", width)
+        result = brute_force(cfg, seed, n)
+    tape = InputTape(cfg, seed)
     sequences = list(itertools.product((0, 1), repeat=n))  # code order
-    rewards = [episode_reward(CFG, seed, bits, tape) for bits in sequences]
+    rewards = [episode_reward(cfg, seed, bits, tape) for bits in sequences]
     first_best = rewards.index(max(rewards))
-    for workers in (1, 2):
-        result = brute_force(CFG, seed, n, workers=workers)
-        assert result.best_sequence == sequences[first_best]
-        assert result.best_reward == rewards[first_best]
+    assert result.best_sequence == sequences[first_best]
+    assert result.best_reward.hex() == rewards[first_best].hex()
+    assert result.evaluations == 2**n
 
 
-def test_brute_force_worker_count_is_invisible():
-    # 1024 codes: two workers take two chunks each
-    serial = brute_force(CFG, 9, 10, workers=1)
-    parallel = brute_force(CFG, 9, 10, workers=2)
-    assert serial == parallel
+def test_brute_force_ties_pick_code_zero(monkeypatch):
+    # both modes sort at the same accuracy, so every sequence earns the same
+    cfg = EnvConfig(baseline_accuracy=1.0 - EnvConfig().boost_noise)
+    monkeypatch.setattr(planners, "BRUTE_FORCE_WIDTH", 8)
+    result = brute_force(cfg, 4, 10)
+    assert result.best_sequence == (0,) * 10
+    assert result.best_reward == episode_reward(cfg, 4, [1] * 10)
+
+
+@pytest.mark.parametrize("width, n", [(8, 10), (None, 12)], ids=["width-8", "default-width"])
+def test_brute_force_steps_each_tree_node_once_within_the_width(width, n, monkeypatch):
+    if width is not None:
+        monkeypatch.setattr(planners, "BRUTE_FORCE_WIDTH", width)
+    widths = []
+    real_step = planners._step
+
+    def recording(stack, t, cols, state):
+        widths.append(len(state.total))
+        return real_step(stack, t, cols, state)
+
+    monkeypatch.setattr(planners, "_step", recording)
+    brute_force(CFG, 3, n)
+    assert max(widths) == planners.BRUTE_FORCE_WIDTH
+    # one column-step per node below the root: 2 + 4 + ... + 2**n
+    assert sum(widths) == 2 ** (n + 1) - 2
 
 
 def test_worker_processes_are_clamped_to_the_cpus(monkeypatch):
@@ -317,10 +346,8 @@ def test_worker_processes_are_clamped_to_the_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert planners.parallel_map(pow, [(2, k) for k in range(10)], 5000) == [2**k for k in range(10)]
-    # brute force cuts one span per process it may open, not one per worker asked
-    assert brute_force(CFG, 9, 10, workers=5000) == brute_force(CFG, 9, 10, workers=1)
-    assert sizes == [3, 3]
-    assert jobs == [10, 3]
+    assert sizes == [3]
+    assert jobs == [10]
 
 
 # --- GA ---------------------------------------------------------------------
