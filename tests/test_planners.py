@@ -296,6 +296,22 @@ def test_brute_force_tree_matches_scalar_scan(cfg, seed, n, width):
     assert result.evaluations == 2**n
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_brute_force_chunks_match_exhaustive_scan(seed, monkeypatch):
+    # 512 codes: the whole tree in one pass at the default width, and cut
+    # into subtrees past the third level at a width of 8
+    n = 9
+    tape = InputTape(CFG, seed)
+    sequences = list(itertools.product((0, 1), repeat=n))  # code order
+    rewards = [episode_reward(CFG, seed, bits, tape) for bits in sequences]
+    first_best = rewards.index(max(rewards))
+    for width in (planners.BRUTE_FORCE_WIDTH, 8):
+        monkeypatch.setattr(planners, "BRUTE_FORCE_WIDTH", width)
+        result = brute_force(CFG, seed, n)
+        assert result.best_sequence == sequences[first_best]
+        assert result.best_reward == rewards[first_best]
+
+
 def test_brute_force_ties_pick_code_zero(monkeypatch):
     # both modes sort at the same accuracy, so every sequence earns the same
     cfg = EnvConfig(baseline_accuracy=1.0 - EnvConfig().boost_noise)
