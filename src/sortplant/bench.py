@@ -32,7 +32,6 @@ from .planners import (
     BRUTE_FORCE_CAP,
     GaParams,
     GenStats,
-    _spans,
     brute_force,
     evaluate_population,
     ga_optimize,
@@ -131,7 +130,7 @@ def score_open_loop(config: EnvConfig, seeds: Sequence[int], strategies: Sequenc
         else:
             raise ContractViolation(f"{strategy!r} is not an open-loop strategy {OPEN_LOOP}")
     tape_of_col = list(range(len(seeds))) * len(strategies)
-    return evaluate_population(TapeStack(config, seeds), bits, tape_of_col).tolist()
+    return evaluate_population(TapeStack(config, seeds, horizon), bits, tape_of_col).tolist()
 
 
 def _score_cells(
@@ -144,6 +143,14 @@ def _score_cells(
         return [(reward, None) for reward in score_open_loop(config, seeds, strategies, horizon)]
     (strategy,), (seed,) = strategies, seeds
     return [evaluate_strategy(strategy, config, seed, horizon, ga_params)]
+
+
+def _spans(total: int, parts: int) -> list[tuple[int, int]]:
+    """Cut range(total) into at most ``parts`` contiguous (start, stop) spans
+    whose sizes differ by at most one."""
+    parts = max(1, min(parts, total))
+    bounds = [total * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def run_bench(config: EnvConfig, spec: BenchSpec, workers: int = 1) -> BenchResult:

@@ -8,7 +8,8 @@ demo-gen and bench spreads campaign seeds or bench cells over N processes
 through planners.parallel_map; it changes wall time only, never any number.
 At most os.cpu_count() processes are opened, whatever N.  Only those two
 commands take --workers: the GA scores each generation in one batched call,
-and brute walks its decision tree in one process.
+and brute walks its decision tree in one process, skipping every subtree
+whose bound cannot reach the best sequence found so far.
 """
 
 from __future__ import annotations

@@ -46,9 +46,9 @@ OBS_SIZE = 33
 # steps per block of an InputTape: one block covers a default 100-step episode
 BLOCK = 128
 # seeds x steps per block of a TapeStack, which holds one block at a time:
-# a stack of S seeds fills blocks of STACK_ROWS // S steps, since its peak
-# memory grows with the rows and its fill cost with the number of blocks (a
-# stack of one covers a GA horizon of up to 400 steps with one fill).  The
+# a stack of S seeds fills blocks of at most STACK_ROWS // S steps, since its
+# peak memory grows with the rows and its fill cost with the number of blocks
+# (a stack of one covers a GA horizon of up to 400 steps with one fill).  The
 # sizing table in the "Stacked tapes" entry of CHANGES.md and the runs in
 # BENCH_7.json hold the measurements behind the value
 STACK_ROWS = 400
@@ -151,22 +151,24 @@ class TapeStack:
 
     Block b, the steps b * block_len .. (b + 1) * block_len - 1, of every
     seed is filled in one numpy pass (:func:`_fill_block`) when a step in it
-    is read.  The stack keeps only the block it filled last, so a pass over
-    the steps in order holds one block of its seeds at a time, whatever the
-    horizon; a step read again after its block was dropped is filled again,
-    to the same values.  :meth:`sorted_deposits` serves
+    is read.  A block holds ``STACK_ROWS // len(seeds)`` steps, but never
+    more than ``horizon``, the steps a caller's pass reads, so a short pass
+    fills no step it does not read.  The stack keeps only the block it
+    filled last, so a pass over the steps in order holds one block of its
+    seeds at a time, whatever the horizon; a step read again after its block
+    was dropped is filled again, to the same values.  :meth:`sorted_deposits` serves
     :func:`~sortplant.planners.evaluate_population` every seed's sorts of one
     step at once.
     """
 
     __slots__ = ("config", "seeds", "block_len", "_b", "_deposits", "_totals")
 
-    def __init__(self, config: EnvConfig, seeds: Sequence[int]) -> None:
+    def __init__(self, config: EnvConfig, seeds: Sequence[int], horizon: int) -> None:
         if not seeds:
             raise ContractViolation("a tape stack needs at least one seed")
         self.config = config
         self.seeds = tuple(seeds)
-        self.block_len = max(1, STACK_ROWS // len(self.seeds))
+        self.block_len = max(1, min(STACK_ROWS // len(self.seeds), horizon))
         self._b: Optional[int] = None
         self._deposits = self._totals = np.empty(0)
 

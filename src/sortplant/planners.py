@@ -13,9 +13,11 @@ planner's stack holds its one seed.  The GA scores its initial population
 and each generation's children through :func:`evaluate_population`, one call
 each, duplicates included; ``GaResult.evaluations`` counts those candidates.
 BF walks the decision tree on the same step, one column per prefix, so a
-shared prefix is simulated once; it runs in this process, with no chunks
-and no pool, and ``BruteForceResult.evaluations`` is the 2**n sequences it
-decides between.
+shared prefix is simulated once, and it drops every subtree whose exact
+upper bound cannot reach the best leaf found so far (a branch and bound), so
+its result is still the exhaustive one.  It runs in this process, with no
+chunks and no pool, and ``BruteForceResult.evaluations`` is the 2**n
+sequences it decides between, not the nodes it stepped.
 
 The columns of one call may play different seeds of a wider stack:
 ``tape_of_col[i]`` is the index into the stack's seeds of the seed column i
@@ -39,6 +41,9 @@ from .env import CONTAINER_E, N_CONTAINERS, N_MATERIALS, ContractViolation, Inpu
 from .rng import derive_seed
 from .trajio import Transition
 
+# the prune does not help the worst case: when every sequence ties (the two
+# modes sort alike), no subtree can be dropped and every node is stepped, as
+# before the prune (see the branch-and-bound entry of CHANGES.md for times)
 BRUTE_FORCE_CAP = 20
 # 100x the default population: a generation is scored in one call whose
 # state arrays grow with the population
@@ -47,14 +52,25 @@ MAX_POPULATION = 10_000
 # only makes a run hang
 MAX_GENERATIONS = 10_000
 # most columns one brute_force step advances; a wider level of the tree is
-# cut in halves, finished one after the other.  At W = 512, 1024 and 4096 one
-# default-config seed took 9.5, 9.5 and 9.4 ms at n = 14 (medians of 40
-# calls) and 0.58, 0.59 and 0.61 s at n = 20 (medians of 3), with a max RSS
-# of 34.2, 34.8 and 37.0 MB at n = 14 and 34.5, 35.4 and 39.8 MB at n = 20
-# (fresh processes, 2-CPU Linux container).  The chunked scan the tree
-# replaced took 55-60 ms and 5.9-6.1 s, at 35.0 and 34.9 MB.  512 is as fast
-# as 1024 (interleaved medians within 3%) and holds the least memory
+# cut in halves, finished one after the other.  Before the tree had its
+# prune, at W = 512, 1024 and 4096 one default-config seed took 9.5, 9.5 and
+# 9.4 ms at n = 14 (medians of 40 calls) and 0.58, 0.59 and 0.61 s at n = 20
+# (medians of 3), with a max RSS of 34.2, 34.8 and 37.0 MB at n = 14 and
+# 34.5, 35.4 and 39.8 MB at n = 20 (fresh processes, 2-CPU Linux container).
+# The chunked scan the tree replaced took 55-60 ms and 5.9-6.1 s, at 35.0 and
+# 34.9 MB.  512 was as fast as 1024 (interleaved medians within 3%) and held
+# the least memory.  With the prune, 1024 takes 3.9 ms against 4.7 ms at n =
+# 14 (interleaved medians of 200 calls) but holds 0.5 MB more at n = 20
 BRUTE_FORCE_WIDTH = 512
+# prefixes per level of the beam search that gives brute_force its first
+# incumbent
+BRUTE_FORCE_BEAM = 8
+# relative slack of brute_force's prune (_may_reach).  A reward and its bound
+# each sum at most 4 * BRUTE_FORCE_CAP terms whose own rounding is a few ulps,
+# so the two differ from exact sums by less than 1e-12 of the incumbent's
+# scale, and the margin is a thousand times that.  A wider margin only keeps
+# a few more columns; it never changes the result
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,6 +158,10 @@ class _Columns(NamedTuple):
         """Each column twice in a row, as new arrays: column 2j + a of the
         result continues column j of this state."""
         return _Columns(*(np.repeat(a, 2, axis=-1) for a in self))
+
+    def take(self, index: np.ndarray) -> _Columns:
+        """The columns at ``index``, in that order, as new arrays."""
+        return _Columns(*(a[..., index] for a in self))
 
 
 @functools.lru_cache(maxsize=8)
@@ -360,33 +380,33 @@ def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*jobs)))
 
 
-def _spans(total: int, parts: int) -> list[tuple[int, int]]:
-    """Cut range(total) into at most ``parts`` contiguous (start, stop) spans
-    whose sizes differ by at most one."""
-    parts = max(1, min(parts, total))
-    bounds = [total * i // parts for i in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 # ---------------------------------------------------------------------------
 # planners
 # ---------------------------------------------------------------------------
 
 
 def brute_force(config: EnvConfig, seed: int, n: int) -> BruteForceResult:
-    """Exhaustively score all 2**n sequences; ties pick the lexicographically
+    """The best of all 2**n sequences; ties pick the lexicographically
     smallest (0 before 1).
 
     The search walks the decision tree on one :class:`_Columns` state: level
-    t holds one column per prefix of length t, in code order, and each
-    :func:`_step` doubles it (:meth:`_Columns.branch`), so a shared prefix is
-    simulated once and the 2**n leaves cost about 2**(n + 1) column-steps.
-    A level that would pass ``BRUTE_FORCE_WIDTH`` columns is cut in halves:
-    the lower half goes on, and the upper half waits as a copy.  So no step
-    advances more than that many columns, and each level below the first
-    cut holds at most half of them.  Each group of leaves reduces to its
-    first best code, and groups merge in code order with a strict >, so ties
-    keep the lowest code.
+    t holds one column per surviving prefix of length t, in code order, and
+    each :func:`_step` doubles it (:meth:`_Columns.branch`), so a shared
+    prefix is simulated once.  A level that would pass ``BRUTE_FORCE_WIDTH``
+    columns is cut in halves: the lower half goes on, and the upper half
+    waits as a copy.  So no step advances more than that many columns.
+
+    It is a branch and bound (Land & Doig, 1960).  A beam of
+    ``BRUTE_FORCE_BEAM`` prefixes gives a first incumbent, the best leaf
+    found so far (:func:`_beam_incumbent`).  After each step, a column is
+    dropped when its reward so far plus :func:`_bound`, an upper bound on
+    what its subtree can still earn, falls short of the incumbent
+    (:func:`_may_reach`).  So only subtrees that cannot hold an optimum are
+    skipped, and the result is the exhaustive one.  Each group of leaves
+    reduces to its first best code, which replaces the incumbent when its
+    reward is higher, or equal with a lower code, so ties keep the lowest
+    code.  ``evaluations`` is the 2**n sequences decided between, however
+    many nodes were stepped.
     """
     if n < 1:
         raise ContractViolation("horizon must be >= 1")
@@ -394,25 +414,136 @@ def brute_force(config: EnvConfig, seed: int, n: int) -> BruteForceResult:
         raise ContractViolation(f"brute force refuses n > {BRUTE_FORCE_CAP} (2**{n} rollouts); use the GA instead")
     if n > config.episode_len:
         raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
-    stack = TapeStack(config, (seed,))
-    # (state, t, first code) of each group of length-t prefixes still to
-    # finish; the last one holds the lowest codes
-    groups = [(_Columns.start(config, 1), 0, 0)]
-    best_code, best_reward = 0, -math.inf
+    stack = TapeStack(config, (seed,), n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        while groups:
-            state, level, first = groups.pop()
-            for t in range(level, n):
-                width = len(state.total)
-                if 2 * width > BRUTE_FORCE_WIDTH:
-                    state, upper = state.halves()
-                    groups.append((upper, t, first + ((width // 2) << (n - t))))
-                state = state.branch()
-                _step(stack, t, np.arange(len(state.total)) & 1, state)  # action 0 on even columns, 1 on odd
-            i = int(np.argmax(state.total))  # the first maximum, so the lowest code
-            if state.total[i] > best_reward:
-                best_code, best_reward = first + i, float(state.total[i])
+        best_code, best_reward = _branch_and_bound(stack, n, _beam_incumbent(stack, n))
     return BruteForceResult(_code_to_bits(best_code, n), best_reward, 1 << n)
+
+
+def _branch_codes(codes: np.ndarray) -> np.ndarray:
+    """The codes of the children of each prefix code c, in code order: 2c
+    (action 0), then 2c + 1 (action 1), as :meth:`_Columns.branch` lays
+    their columns out."""
+    children = np.repeat(codes << 1, 2)
+    children[1::2] |= 1
+    return children
+
+
+def _beam_incumbent(stack: TapeStack, n: int) -> tuple[int, float]:
+    """(code, reward) of the best leaf of a beam search: each level keeps
+    the ``BRUTE_FORCE_BEAM`` columns with the highest reward so far (the
+    lower code among equals), in code order.  Its leaves are scored by
+    :func:`_step` as the tree scores them, so the reward is exact."""
+    state, codes = _Columns.start(stack.config, 1), np.zeros(1, dtype=np.int64)
+    for t in range(n):
+        state, codes = state.branch(), _branch_codes(codes)
+        _step(stack, t, codes & 1, state)
+        if len(codes) > BRUTE_FORCE_BEAM:
+            # Python's sort is stable under reverse=True, so equals keep code
+            # order; a numpy sort would page in about 0.5 MB of its code
+            totals = state.total.tolist()
+            top = sorted(sorted(range(len(totals)), key=totals.__getitem__, reverse=True)[:BRUTE_FORCE_BEAM])
+            state, codes = state.take(top), codes[top]
+    i = int(np.argmax(state.total))
+    return int(codes[i]), float(state.total[i])
+
+
+def _bound_tables(stack: TapeStack, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each level t = 0 .. n, the tables :func:`_bound` reads for the
+    steps t .. n - 1, as (M, S) of shapes (4, n - t) and (4, n - t + 1).
+
+    q[m, u] is the larger own-material share of step u's two possible
+    deposits into container m of A-D (0 for an empty deposit).  M[m, j] is
+    the running maximum of q[m] over the steps t .. t + j, and S[m, k] the
+    sum of phi_m(M[m, j]) over j >= k, where phi_m(x) = max(0, x -
+    threshold_m) bounds the reward of a container of purity x.
+    """
+    thresholds = _purity_column(stack.config.purity_thresholds)
+    shares = np.empty((N_MATERIALS, n))
+    diagonal = np.arange(N_MATERIALS)
+    for u in range(n):
+        table, totals = stack.sorted_deposits(u)
+        own = table[diagonal, diagonal]  # (4, 2): container m's own material under each action
+        shares[:, u] = np.divide(own, totals, out=np.zeros_like(totals), where=totals > 0.0).max(axis=1)
+    running = np.empty((N_MATERIALS, 0))
+    tables = [(running, np.zeros((N_MATERIALS, 1)))]
+    for t in range(n - 1, -1, -1):  # M of level t is q[:, t], then M of level t + 1 raised to it
+        share = shares[:, t : t + 1]
+        running = np.concatenate([share, np.maximum(share, running)], axis=1)
+        suffix = np.zeros((N_MATERIALS, n - t + 1))
+        suffix[:, :-1] = np.cumsum(np.maximum(running - thresholds, 0.0)[:, ::-1], axis=1)[:, ::-1]
+        tables.append((running, suffix))
+    return tables[::-1]
+
+
+def _bound(state: _Columns, running: np.ndarray, suffix: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """An upper bound on the reward each column can still earn over the
+    steps that ``running`` and ``suffix`` (one level of
+    :func:`_bound_tables`) cover.
+
+    Container m's contents are a non-negative mix of the deposits it took
+    since its last press: a keep factor scales a whole deposit, a press
+    empties the container, and an empty container earns 0.  So at step t +
+    j its purity is at most max(p_m, M[m, j]), p_m being its purity now,
+    and its reward at most phi_m of that.  M is nondecreasing, so with k the
+    number of j where M[m, j] <= p_m, the steps left earn at most k *
+    phi_m(p_m) + S[m, k].
+    """
+    contents = state.contents
+    width = contents.shape[-1]
+    if not running.shape[1]:  # no step left
+        return np.zeros(width)
+    fill = contents[:N_MATERIALS].sum(axis=1)
+    own = contents.reshape(N_CONTAINERS * N_MATERIALS, width)[:: N_MATERIALS + 1]
+    purity = np.divide(own, fill, out=np.zeros_like(fill), where=fill > 0.0)
+    phi = np.maximum(purity - thresholds, 0.0)
+    bound = np.zeros(width)
+    for m in range(N_MATERIALS):
+        k = np.searchsorted(running[m], purity[m], side="right")
+        bound += k * phi[m] + suffix[m, k]
+    return bound
+
+
+def _may_reach(total: np.ndarray, bound: np.ndarray, incumbent: float) -> np.ndarray:
+    """The columns to keep: those whose total + bound lies no lower than
+    ``_PRUNE_MARGIN * (1 + |incumbent|)`` under the incumbent.  The margin
+    is far wider than the rounding of either side, so a column that could
+    tie the incumbent is never dropped."""
+    return total + bound >= incumbent - _PRUNE_MARGIN * (1.0 + abs(incumbent))
+
+
+def _branch_and_bound(stack: TapeStack, n: int, incumbent: tuple[int, float]) -> tuple[int, float]:
+    """(code, reward) of the first best leaf of the tree, or ``incumbent``
+    (a leaf's code and exact reward) where no leaf beats it or ties it with
+    a lower code; see :func:`brute_force`."""
+    best_code, best_reward = incumbent
+    tables = _bound_tables(stack, n)
+    thresholds = _purity_column(stack.config.purity_thresholds)
+    # (state, codes, t) of each group of length-t prefixes still to finish;
+    # the last one holds the lowest codes
+    groups = [(_Columns.start(stack.config, 1), np.zeros(1, dtype=np.int64), 0)]
+    while groups:
+        state, codes, level = groups.pop()
+        for t in range(level, n):
+            width = len(codes)
+            if 2 * width > BRUTE_FORCE_WIDTH:
+                state, upper = state.halves()
+                groups.append((upper, codes[width // 2 :], t))
+                codes = codes[: width // 2]
+            state, codes = state.branch(), _branch_codes(codes)
+            _step(stack, t, codes & 1, state)
+            keep = _may_reach(state.total, _bound(state, *tables[t + 1], thresholds), best_reward)
+            if not keep.all():
+                kept = np.flatnonzero(keep)  # in code order
+                if not len(kept):
+                    break  # no leaf of the group can reach the incumbent
+                state, codes = state.take(kept), codes[kept]
+        else:  # the group's leaves
+            i = int(np.argmax(state.total))  # the first maximum, so the lowest code
+            reward, code = float(state.total[i]), int(codes[i])
+            if reward > best_reward or (reward == best_reward and code < best_code):
+                best_code, best_reward = code, reward
+    return best_code, best_reward
 
 
 def _code_to_bits(code: int, n: int) -> tuple[int, ...]:
@@ -436,7 +567,7 @@ def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams) -> GaRes
     if n > config.episode_len:
         raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
     rng = random.Random(params.ga_seed)
-    stack = TapeStack(config, (seed,))
+    stack = TapeStack(config, (seed,), n)
     population = [[rng.randrange(2) for _ in range(n)] for _ in range(params.population)]
     best_bits, best_reward = (), -math.inf
     stats: list[GenStats] = []

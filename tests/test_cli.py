@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortplant.cli import main, parse_seed_spec
 from sortplant.cli import UsageError
@@ -342,3 +346,29 @@ def test_seed_spec_bounds_are_checked_before_building():
         parse_seed_spec("3..7", 3)
     with pytest.raises(UsageError, match="outside"):
         parse_seed_spec("2..4", 3, range(3, 6))
+
+
+# edge values for brute force's command lines: horizons at, around and far
+# past BRUTE_FORCE_CAP (20), and seed specs inside, at the edge of and outside
+# the bench pool [0, 1000), malformed ones included.  Ranges stay at a few
+# seeds so a horizon of 20 stays quick
+_BF_LENGTHS = st.sampled_from([-1, 0, 1, 14, 20, 21, 2**63]) | st.integers(-2, 12)
+_BRUTE_SEEDS = st.sampled_from([0, 1, -1, 999, 1000, 2**63, -(2**63), 2**64 + 1, 10**30])
+_BENCH_SEED_SPECS = st.sampled_from(["0", "999", "1000", "-1", "0..2", "997..1000", "999..1001", "2..1", "5..5", "0,0", "3,1", "", "x", "0..x"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    command=st.sampled_from(["brute", "bench"]),
+    length=_BF_LENGTHS,
+    seed=_BRUTE_SEEDS,
+    spec=_BENCH_SEED_SPECS,
+    workers=st.integers(1, 2),
+)
+def test_brute_force_command_lines_end_in_an_exit_code(command, length, seed, spec, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "brute":
+            argv = ["brute", "--seed", str(seed), "--len", str(length), "--out", str(Path(tmp) / "best.json")]
+        else:
+            argv = ["bench", "--strategies", "BF", "--seeds", spec, "--len", str(length), "--out", tmp, "--workers", str(workers)]
+        assert main(argv) in (0, 1, 2, 3)

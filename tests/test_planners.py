@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortplant.config import EnvConfig
-from sortplant.env import STACK_ROWS, ContractViolation, InputTape, TapeStack
+from sortplant.env import ContractViolation, InputTape, TapeStack
 from sortplant import planners
 from sortplant.baselines import make_policy, run_policy
 from sortplant.planners import (
@@ -169,7 +169,7 @@ def _pinned_press_regimes(test):
 @given(cfg=gate_configs, seed=st.integers(0, 2**32), bits=bit_matrices())
 @_pinned_press_regimes
 def test_evaluate_population_is_bit_identical_to_episode_reward(cfg, seed, bits):
-    rewards = evaluate_population(TapeStack(cfg, (seed,)), bits)
+    rewards = evaluate_population(TapeStack(cfg, (seed,), len(bits[0])), bits)
     assert rewards.shape == (len(bits),)
     assert [float(r).hex() for r in rewards] == [episode_reward(cfg, seed, row).hex() for row in bits]
 
@@ -198,7 +198,7 @@ def _pinned_stacked_press_regimes(test):
 @_pinned_stacked_press_regimes
 def test_stacked_evaluate_population_is_bit_identical_to_episode_reward(cfg, columns):
     stacked, bits, tape_of_col = columns
-    stack = TapeStack(cfg, stacked)
+    stack = TapeStack(cfg, stacked, len(bits[0]))
     rewards = evaluate_population(stack, bits, tape_of_col)
     expected = [episode_reward(cfg, stacked[k], row).hex() for k, row in zip(tape_of_col, bits)]
     assert [float(r).hex() for r in rewards] == expected
@@ -215,9 +215,9 @@ def test_stacked_evaluate_population_is_bit_identical_to_episode_reward(cfg, col
 def test_evaluate_population_tape_of_col_contract(tape_of_col, match):
     bits = [[0, 1], [1, 1]]
     with pytest.raises(ContractViolation, match=match):
-        evaluate_population(TapeStack(CFG, (0, 1, 2)), bits, tape_of_col)
+        evaluate_population(TapeStack(CFG, (0, 1, 2), 2), bits, tape_of_col)
     with pytest.raises(ContractViolation, match="index one of 1"):
-        evaluate_population(TapeStack(CFG, (0,)), bits, [0, 1])
+        evaluate_population(TapeStack(CFG, (0,), 2), bits, [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -231,7 +231,7 @@ def test_evaluate_population_tape_of_col_contract(tape_of_col, match):
 )
 def test_evaluate_population_contract(bits, match):
     with pytest.raises(ContractViolation, match=match):
-        evaluate_population(TapeStack(CFG, (0,)), bits)
+        evaluate_population(TapeStack(CFG, (0,), CFG.episode_len), bits)
     if isinstance(bits[0], list):  # the scalar path refuses the same rows
         with pytest.raises(ContractViolation):
             episode_reward(CFG, 0, bits[0])
@@ -243,7 +243,7 @@ def test_evaluate_population_contract(bits, match):
     ids=["no-columns", "no-steps"],
 )
 def test_evaluate_population_empty_shapes(shape, expected):
-    rewards = evaluate_population(TapeStack(CFG, (0,)), np.zeros(shape, dtype=np.int64))
+    rewards = evaluate_population(TapeStack(CFG, (0,), 5), np.zeros(shape, dtype=np.int64))
     assert rewards.shape == (len(expected),)
     assert rewards.tolist() == expected
 
@@ -280,20 +280,31 @@ def _pinned_brute_regimes(test):
     return test
 
 
-@settings(max_examples=40, deadline=None)
-@given(cfg=gate_configs, seed=st.integers(0, 2**32), n=st.integers(1, 10), width=st.sampled_from((2, 8, 64)))
-@_pinned_brute_regimes
-def test_brute_force_tree_matches_scalar_scan(cfg, seed, n, width):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planners, "BRUTE_FORCE_WIDTH", width)
-        result = brute_force(cfg, seed, n)
+def scalar_scan(cfg, seed, n):
+    """Every sequence of length n in code order, and its episode_reward."""
     tape = InputTape(cfg, seed)
-    sequences = list(itertools.product((0, 1), repeat=n))  # code order
-    rewards = [episode_reward(cfg, seed, bits, tape) for bits in sequences]
+    sequences = list(itertools.product((0, 1), repeat=n))
+    return sequences, [episode_reward(cfg, seed, bits, tape) for bits in sequences]
+
+
+def assert_brute_force_matches_scan(module, cfg, seed, n, width):
+    """``module.brute_force``, pruning on and cut at ``width`` columns,
+    returns the first best sequence of the scan and its reward's bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "BRUTE_FORCE_WIDTH", width)
+        result = module.brute_force(cfg, seed, n)
+    sequences, rewards = scalar_scan(cfg, seed, n)
     first_best = rewards.index(max(rewards))
     assert result.best_sequence == sequences[first_best]
     assert result.best_reward.hex() == rewards[first_best].hex()
     assert result.evaluations == 2**n
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=gate_configs, seed=st.integers(0, 2**32), n=st.integers(1, 10), width=st.sampled_from((2, 8, 64)))
+@_pinned_brute_regimes
+def test_brute_force_tree_matches_scalar_scan(cfg, seed, n, width):
+    assert_brute_force_matches_scan(planners, cfg, seed, n, width)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -301,9 +312,7 @@ def test_brute_force_chunks_match_exhaustive_scan(seed, monkeypatch):
     # 512 codes: the whole tree in one pass at the default width, and cut
     # into subtrees past the third level at a width of 8
     n = 9
-    tape = InputTape(CFG, seed)
-    sequences = list(itertools.product((0, 1), repeat=n))  # code order
-    rewards = [episode_reward(CFG, seed, bits, tape) for bits in sequences]
+    sequences, rewards = scalar_scan(CFG, seed, n)
     first_best = rewards.index(max(rewards))
     for width in (planners.BRUTE_FORCE_WIDTH, 8):
         monkeypatch.setattr(planners, "BRUTE_FORCE_WIDTH", width)
@@ -312,31 +321,114 @@ def test_brute_force_chunks_match_exhaustive_scan(seed, monkeypatch):
         assert result.best_reward == rewards[first_best]
 
 
+# both modes sort at the same accuracy, so every sequence earns the same
+TIE_CFG = EnvConfig(baseline_accuracy=1.0 - EnvConfig().boost_noise)
+
+
+def tree_levels(module, cfg, seed, n):
+    """(t, state, bound) for every level t = 0 .. n of the whole tree, one
+    column per prefix in code order, with ``module._bound`` of each column."""
+    stack = TapeStack(cfg, (seed,), n)
+    tables = module._bound_tables(stack, n)
+    thresholds = module._purity_column(cfg.purity_thresholds)
+    state, codes = module._Columns.start(cfg, 1), np.zeros(1, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(n + 1):
+            if t:
+                state, codes = state.branch(), module._branch_codes(codes)
+                module._step(stack, t - 1, codes & 1, state)
+            yield t, state, module._bound(state, *tables[t], thresholds)
+
+
+def assert_bound_is_admissible(module, cfg, seed, n):
+    """Every prefix column's total + bound reaches the best reward among its
+    completions, to within the prune's rounding margin."""
+    _, rewards = scalar_scan(cfg, seed, n)
+    for t, state, bound in tree_levels(module, cfg, seed, n):
+        best = np.array(rewards).reshape(2**t, -1).max(axis=1)
+        margin = planners._PRUNE_MARGIN * (1.0 + np.abs(best))
+        assert (state.total + bound >= best - margin).all(), t
+
+
+def _pinned_bound_regimes(test):
+    for _, overrides, *_ in PINNED_REGIMES:
+        test = example(cfg=EnvConfig(**overrides), seed=11, n=8)(test)
+    # the tie config: at n = 1 the root's containers are empty and every
+    # deposit's purity lies above its threshold, so the bound is the reward,
+    # exactly, and a bound any smaller fails here
+    return example(cfg=TIE_CFG, seed=4, n=1)(example(cfg=TIE_CFG, seed=4, n=6)(test))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=gate_configs, seed=st.integers(0, 2**32), n=st.integers(1, 8))
+@_pinned_bound_regimes
+def test_brute_force_bound_is_admissible(cfg, seed, n):
+    assert_bound_is_admissible(planners, cfg, seed, n)
+
+
 def test_brute_force_ties_pick_code_zero(monkeypatch):
-    # both modes sort at the same accuracy, so every sequence earns the same
-    cfg = EnvConfig(baseline_accuracy=1.0 - EnvConfig().boost_noise)
     monkeypatch.setattr(planners, "BRUTE_FORCE_WIDTH", 8)
-    result = brute_force(cfg, 4, 10)
+    result = brute_force(TIE_CFG, 4, 10)
     assert result.best_sequence == (0,) * 10
-    assert result.best_reward == episode_reward(cfg, 4, [1] * 10)
+    assert result.best_reward == episode_reward(TIE_CFG, 4, [1] * 10)
 
 
-@pytest.mark.parametrize("width, n", [(8, 10), (None, 12)], ids=["width-8", "default-width"])
-def test_brute_force_steps_each_tree_node_once_within_the_width(width, n, monkeypatch):
+def assert_ties_replace_a_higher_incumbent(module):
+    """In the tie config, a search seeded with the last code as incumbent
+    still returns code 0: no column that ties is dropped, and a tie with a
+    lower code replaces the incumbent.  A column within rounding of the
+    incumbent is kept, and one clearly below it is dropped."""
+    n = 10
+    last = episode_reward(TIE_CFG, 4, [1] * n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "BRUTE_FORCE_WIDTH", 8)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            found = module._branch_and_bound(TapeStack(TIE_CFG, (4,), n), n, (2**n - 1, last))
+    assert found == (0, last)
+    totals = np.array([last, np.nextafter(last, -np.inf), last - 1e-6 * (1.0 + abs(last))])
+    assert module._may_reach(totals, np.zeros(3), last).tolist() == [True, True, False]
+
+
+def test_brute_force_ties_replace_a_higher_incumbent():
+    assert_ties_replace_a_higher_incumbent(planners)
+
+
+@pytest.mark.parametrize(
+    "cfg, width, n",
+    [(TIE_CFG, 8, 10), (TIE_CFG, None, 12), (CFG, None, 12)],
+    ids=["width-8", "default-width", "default-config"],
+)
+def test_brute_force_steps_each_tree_node_once_within_the_width(cfg, width, n, monkeypatch):
     if width is not None:
         monkeypatch.setattr(planners, "BRUTE_FORCE_WIDTH", width)
-    widths = []
-    real_step = planners._step
+    tree, beam = [], []
+    in_beam = []
+    real_step, real_beam = planners._step, planners._beam_incumbent
 
     def recording(stack, t, cols, state):
-        widths.append(len(state.total))
+        (beam if in_beam else tree).append(len(state.total))
         return real_step(stack, t, cols, state)
 
+    def recording_beam(stack, n):
+        in_beam.append(True)
+        try:
+            return real_beam(stack, n)
+        finally:
+            in_beam.pop()
+
     monkeypatch.setattr(planners, "_step", recording)
-    brute_force(CFG, 3, n)
-    assert max(widths) == planners.BRUTE_FORCE_WIDTH
-    # one column-step per node below the root: 2 + 4 + ... + 2**n
-    assert sum(widths) == 2 ** (n + 1) - 2
+    monkeypatch.setattr(planners, "_beam_incumbent", recording_beam)
+    brute_force(cfg, 3, n)
+    # the beam steps twice its kept prefixes on each level
+    assert beam == [min(2 ** (t + 1), 2 * planners.BRUTE_FORCE_BEAM) for t in range(n)]
+    assert max(tree) <= planners.BRUTE_FORCE_WIDTH
+    if cfg == TIE_CFG:
+        # every node ties, so none is dropped: one column-step per node below
+        # the root, 2 + 4 + ... + 2**n, and the widest levels fill the width
+        assert max(tree) == planners.BRUTE_FORCE_WIDTH
+        assert sum(tree) == 2 ** (n + 1) - 2
+    else:
+        assert sum(tree) < 2 ** (n + 1) - 2
 
 
 def test_worker_processes_are_clamped_to_the_cpus(monkeypatch):
@@ -370,10 +462,16 @@ def test_worker_processes_are_clamped_to_the_cpus(monkeypatch):
 
 
 def test_default_ga_fills_its_stack_once(drawn_steps):
-    # a stack of one seed holds STACK_ROWS steps, so every generation of a
-    # 100-step GA reads the block the first one filled
+    # a stack of one seed holds its whole 100-step horizon (STACK_ROWS
+    # would allow 400), so every generation of the GA reads the block the
+    # first one filled, and no step past the horizon is drawn
     ga_optimize(CFG, 1, 100, GaParams())
-    assert drawn_steps == list(range(-CFG.belt_delay, STACK_ROWS - CFG.belt_delay))
+    assert drawn_steps == list(range(-CFG.belt_delay, 100 - CFG.belt_delay))
+
+
+def test_brute_force_fills_only_its_horizon(drawn_steps):
+    brute_force(CFG, 1, 14)
+    assert drawn_steps == list(range(-CFG.belt_delay, 14 - CFG.belt_delay))
 
 
 def test_ga_zero_generations_reports_initial_population():

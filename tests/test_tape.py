@@ -71,7 +71,7 @@ seeds = st.sampled_from([0, 2**64 - 1, -7]) | st.integers(-(2**70), 2**70)
 def test_tape_block_matches_scalar_reference(cfg, seed, t):
     # one tape block of steps, read through both readers
     tape = InputTape(cfg, seed)
-    stack = TapeStack(cfg, (seed,))
+    stack = TapeStack(cfg, (seed,), BLOCK)
     first = t // BLOCK * BLOCK
     for s in range(first, first + BLOCK):
         head = generate_input(cfg, seed, s - cfg.belt_delay)
@@ -100,11 +100,16 @@ def test_noise_block_matches_noise_draw(seed, stream, t0):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cfg=tape_configs, stacked=st.lists(seeds, min_size=1, max_size=5), t=st.integers(-4 * BLOCK, 4 * BLOCK))
-@example(cfg=EnvConfig(belt_delay=0), stacked=[0, 2**64 - 1, -7], t=0)
-@example(cfg=EnvConfig(belt_delay=1, accuracy_jitter=0.0), stacked=[-3, -3, 0], t=-1)
-@example(cfg=EnvConfig(belt_delay=10**30), stacked=[2**64 - 1, 0, 5, -(2**70)], t=BLOCK)
-def test_stacked_fill_matches_one_seed_tapes(cfg, stacked, t):
+@given(
+    cfg=tape_configs,
+    stacked=st.lists(seeds, min_size=1, max_size=5),
+    t=st.integers(-4 * BLOCK, 4 * BLOCK),
+    horizon=st.integers(1, 2 * STACK_ROWS),
+)
+@example(cfg=EnvConfig(belt_delay=0), stacked=[0, 2**64 - 1, -7], t=0, horizon=100)
+@example(cfg=EnvConfig(belt_delay=1, accuracy_jitter=0.0), stacked=[-3, -3, 0], t=-1, horizon=14)
+@example(cfg=EnvConfig(belt_delay=10**30), stacked=[2**64 - 1, 0, 5, -(2**70)], t=BLOCK, horizon=STACK_ROWS)
+def test_stacked_fill_matches_one_seed_tapes(cfg, stacked, t, horizon):
     # every array of a stacked block, seed by seed, is the one-seed tape's block
     t0 = t // BLOCK * BLOCK
     block = _fill_block(cfg, stacked, t0, BLOCK)
@@ -115,13 +120,14 @@ def test_stacked_fill_matches_one_seed_tapes(cfg, stacked, t):
     # and the stack's per-step tables and the stacked head batches of steps
     # 0 .. n-1 agree with each seed alone, whose block length differs, and
     # with its tape
-    stack = TapeStack(cfg, stacked)
-    assert stack.block_len == STACK_ROWS // len(stacked)
+    # a block holds at most the horizon's steps
+    stack = TapeStack(cfg, stacked, horizon)
+    assert stack.block_len == min(STACK_ROWS // len(stacked), horizon)
     deposits, totals = stack.sorted_deposits(t)
     n = 2 * BLOCK
     heads = head_batches(cfg, stacked, -cfg.belt_delay, n)
     for k, seed in enumerate(stacked):
-        own = TapeStack(cfg, (seed,))
+        own = TapeStack(cfg, (seed,), STACK_ROWS)
         own_deposits, own_totals = own.sorted_deposits(t)
         assert hexes(deposits[:, :, 2 * k : 2 * k + 2]) == hexes(own_deposits)
         assert hexes(totals[:, 2 * k : 2 * k + 2]) == hexes(own_totals)
