@@ -7,11 +7,20 @@ controller performance, not a controller.
 
 Both run the plant rules as one array step, :func:`_step`, which advances
 the columns of a :class:`_Columns` state through one step of a
-:class:`~sortplant.env.TapeStack` and keeps every column equal, bit for bit,
-to what :func:`episode_reward` (the scalar reference path) computes.  A
-planner's stack holds its one seed.  The GA scores its initial population
-and each generation's children through :func:`evaluate_population`, one call
-each, duplicates included; ``GaResult.evaluations`` counts those candidates.
+:class:`~sortplant.env.TapeStack`, and one reward law, :func:`_step_reward`,
+which scores a step from the state's own material and fill.  Together they
+keep every column equal, bit for bit, to what :func:`episode_reward` (the
+scalar reference path) computes.  A planner's stack holds its one seed.
+
+The GA scores its initial population and each generation's children through
+:func:`evaluate_population`, one call each, duplicates included;
+``GaResult.evaluations`` counts those candidates.  The evaluator scores the
+rewards of a block of steps at once.  The genetic operators run as array ops
+on a ``uint8`` population, with the draws of the scalar operators
+(:func:`tournament_select`, :func:`crossover`, :func:`mutate`) taken in bulk
+from the same ``random.Random`` stream, so each result is the one the scalar
+operators give.
+
 BF walks the decision tree on the same step, one column per prefix, so a
 shared prefix is simulated once, and it drops every subtree whose exact
 upper bound cannot reach the best leaf found so far (a branch and bound), so
@@ -71,6 +80,17 @@ BRUTE_FORCE_BEAM = 8
 # scale, and the margin is a thousand times that.  A wider margin only keeps
 # a few more columns; it never changes the result
 _PRUNE_MARGIN = 1e-9
+# column-steps whose rewards evaluate_population scores in one block of
+# _REWARD_BUDGET // P steps: 16 at the GA's P = 100, 32 at P = 50.  Past P
+# = 800 a block would hold one step, and each step is scored as it goes:
+# at P = 1000 blocks of 16 steps took 1.34x the time of one step at a time
+# (24.0 against 17.9 ms for n = 100), because a step's ops no longer cost
+# more than its row copies (interleaved medians of 30 calls, 2-CPU Linux
+# container; CHANGES.md has the table)
+_REWARD_BUDGET = 1600
+# most Mersenne Twister words the GA turns into an array at once, which
+# bounds the transient buffers of a large population (about 1 MB)
+_WORD_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -134,6 +154,7 @@ class _Columns(NamedTuple):
     """The plant state of P episodes, one per column on the last axis."""
 
     contents: np.ndarray  # (5, 4, P) material in each container
+    fill: np.ndarray  # (5, P) each container's contents summed left to right
     pending: np.ndarray  # (5, P) pending_since, int64 max when not waiting
     busy: np.ndarray  # (n_presses, P) busy_until
     total: np.ndarray  # (P,) reward so far
@@ -143,10 +164,17 @@ class _Columns(NamedTuple):
         """P episodes at step 0: empty containers, idle presses, no reward."""
         return cls(
             np.zeros((N_CONTAINERS, N_MATERIALS, pop)),
+            np.zeros((N_CONTAINERS, pop)),
             np.full((N_CONTAINERS, pop), _NOT_WAITING, dtype=np.int64),
             np.zeros((config.n_presses, pop), dtype=np.int64),
             np.zeros(pop),
         )
+
+    @property
+    def own(self) -> np.ndarray:
+        """(4, P): the own material of containers A-D, contents[m, m], read
+        as every (N_MATERIALS + 1)-th row of contents seen as (20, P)."""
+        return self.contents.reshape(N_CONTAINERS * N_MATERIALS, -1)[:: N_MATERIALS + 1]
 
     def halves(self) -> tuple[_Columns, _Columns]:
         """The first half of the columns as a view and the second as a copy,
@@ -174,16 +202,20 @@ def _purity_column(thresholds: tuple[float, ...]) -> np.ndarray:
 
 
 def _step(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
-    """Advance every column of ``state`` through step t, in place.
+    """Advance every column of ``state`` through step t, in place, up to
+    its step reward, which :func:`_step_reward` scores from ``state.own``
+    and ``state.fill``.
 
     Column i sorts step t's head batch as entry ``cols[i]`` of
-    ``stack.sorted_deposits(t)``.  Callers run it under
-    ``np.errstate(divide="ignore", invalid="ignore")``: an empty container's
-    purity is 0/0, which the reward discards.  The rules of
-    :func:`update_containers_and_presses` and :func:`compute_reward` are
-    mirrored operation for operation:
+    ``stack.sorted_deposits(t)``.  The rules of
+    :func:`update_containers_and_presses` are mirrored operation for
+    operation:
 
     - every sum runs left to right, ``((a + b) + c) + d``, never ``np.sum``;
+    - the headroom of A-D is the capacity less the fill the last step left.
+      That is the sum of the contents as they stand, bit for bit: the step
+      wrote it after the deposits, and a press zeroes a container's fill
+      with its contents;
     - when every deposit of the step fits its container in every column,
       all five deposits are added in one pass.  That is exact: the general
       branch would multiply each by 1.0 and add a spill of +0.0 to E, and
@@ -200,8 +232,7 @@ def _step(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
     - presses are served in order, each idle press taking the waiting
       container with the least (pending_since, index): ``argmin`` returns
       the first of equal minima, which is the lower index.  So a press
-      takes at most one job per step;
-    - an empty container adds 0.0 to the step reward.
+      takes at most one job per step.
 
     Each column's arithmetic is its own, so a column's result does not
     depend on the other columns of the call.
@@ -210,11 +241,9 @@ def _step(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
     capacity = config.container_capacity
     threshold = config.pressing_threshold
     duration = config.press_duration
-    penalty = config.penalty_factor
-    purity_thresholds = _purity_column(config.purity_thresholds)
     not_waiting = _NOT_WAITING
-    contents, pending, busy, total = state
-    pop = total.shape[0]
+    contents, fill, pending, busy, _ = state
+    pop = fill.shape[1]
     designated_contents = contents[:N_MATERIALS]
     e_contents = contents[CONTAINER_E]
 
@@ -225,7 +254,7 @@ def _step(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
     # deposits: containers A-D are independent of each other, but E
     # takes their overflow in container order, then its own deposit
     c = designated_contents
-    headroom = capacity - (((c[:, 0] + c[:, 1]) + c[:, 2]) + c[:, 3])
+    headroom = capacity - fill[:N_MATERIALS]
     fits = headroom >= dep_total
     if fits.all():  # exact, see the docstring
         contents += deposits
@@ -239,7 +268,9 @@ def _step(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
         e_contents += spill[3]
         e_contents += deposits[CONTAINER_E]
 
-    fill = ((contents[:, 0] + contents[:, 1]) + contents[:, 2]) + contents[:, 3]
+    np.add(contents[:, 0], contents[:, 1], out=fill)
+    fill += contents[:, 2]
+    fill += contents[:, 3]
     np.minimum(pending, np.where(fill >= threshold, t, not_waiting), out=pending)
     if pending.min() != not_waiting:
         columns = np.arange(pop)
@@ -253,13 +284,26 @@ def _step(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
             pending[rows, cols] = not_waiting
             busy[p, take] = t + duration
 
-    filled = fill[:N_MATERIALS]
-    # contents[m, m, :] for m in A-D: the rows of contents seen as (20, P)
-    # step by N_MATERIALS + 1
-    own = contents.reshape(N_CONTAINERS * N_MATERIALS, pop)[:: N_MATERIALS + 1]
-    deviation = own / filled - purity_thresholds
-    reward = np.where(filled > 0.0, np.where(deviation >= 0.0, deviation, penalty * deviation), 0.0)
-    total += ((reward[0] + reward[1]) + reward[2]) + reward[3]
+
+def _step_reward(config: EnvConfig, own: np.ndarray, filled: np.ndarray) -> np.ndarray:
+    """The step reward of columns whose containers A-D hold ``own`` of their
+    own material in ``filled`` in all, both of shape (..., 4, P); the result
+    has shape (..., P).
+
+    It mirrors :func:`compute_reward`: an empty container adds 0.0, and the
+    four containers are summed left to right.  Callers run it under
+    ``np.errstate(divide="ignore", invalid="ignore")``: an empty container's
+    purity is 0/0, which the reward discards.
+    """
+    deviation = own / filled - _purity_column(config.purity_thresholds)
+    reward = np.where(filled > 0.0, np.where(deviation >= 0.0, deviation, config.penalty_factor * deviation), 0.0)
+    return ((reward[..., 0, :] + reward[..., 1, :]) + reward[..., 2, :]) + reward[..., 3, :]
+
+
+def _step_and_score(stack: TapeStack, t: int, cols: np.ndarray, state: _Columns) -> None:
+    """:func:`_step`, then each column's step reward added to its total."""
+    _step(stack, t, cols, state)
+    np.add(state.total, _step_reward(stack.config, state.own, state.fill[:N_MATERIALS]), out=state.total)
 
 
 def evaluate_population(
@@ -275,7 +319,12 @@ def evaluate_population(
 
     The P episodes start as one :class:`_Columns` state and take n
     :func:`_step` calls; step t gathers column i's deposits at
-    ``2 * tape_of_col[i] + bits[i, t]`` of the stack's sort table.
+    ``2 * tape_of_col[i] + bits[i, t]`` of the stack's sort table.  Each
+    step's own material and fill of A-D are copied into row buffers, and
+    :func:`_step_reward` scores ``_REWARD_BUDGET // P`` steps at once.  The
+    rows are added to the totals in step order by ``np.add.accumulate``,
+    which sums them one after the other, as one step at a time would.  When
+    a block would hold one step or none, each step is scored as it goes.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2:
@@ -300,10 +349,29 @@ def evaluate_population(
     state = _Columns.start(config, pop)
     if pop == 0:  # pending.min() in _step needs a column
         return state.total
+    rows = min(n, _REWARD_BUDGET // pop)
+    if rows <= 1:  # a block of one step gains nothing from the row copies
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(n):
+                _step_and_score(stack, t, table_cols[:, t], state)
+        return state.total
+    own = np.empty((rows, N_MATERIALS, pop))
+    filled = np.empty((rows, N_MATERIALS, pop))
+    # row 0 holds the totals before a block of steps, row r + 1 the totals
+    # after its step r
+    totals = np.zeros((rows + 1, pop))
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(n):
             _step(stack, t, table_cols[:, t], state)
-    return state.total
+            row = t % rows
+            own[row] = state.own
+            filled[row] = state.fill[:N_MATERIALS]
+            if row == rows - 1 or t == n - 1:
+                block = totals[: row + 2]
+                block[1:] = _step_reward(config, own[: row + 1], filled[: row + 1])
+                np.add.accumulate(block, axis=0, out=block)
+                totals[0] = block[-1]
+    return totals[0]
 
 
 def rollout(
@@ -437,7 +505,7 @@ def _beam_incumbent(stack: TapeStack, n: int) -> tuple[int, float]:
     state, codes = _Columns.start(stack.config, 1), np.zeros(1, dtype=np.int64)
     for t in range(n):
         state, codes = state.branch(), _branch_codes(codes)
-        _step(stack, t, codes & 1, state)
+        _step_and_score(stack, t, codes & 1, state)
         if len(codes) > BRUTE_FORCE_BEAM:
             # Python's sort is stable under reverse=True, so equals keep code
             # order; a numpy sort would page in about 0.5 MB of its code
@@ -489,13 +557,11 @@ def _bound(state: _Columns, running: np.ndarray, suffix: np.ndarray, thresholds:
     number of j where M[m, j] <= p_m, the steps left earn at most k *
     phi_m(p_m) + S[m, k].
     """
-    contents = state.contents
-    width = contents.shape[-1]
+    width = state.total.shape[0]
     if not running.shape[1]:  # no step left
         return np.zeros(width)
-    fill = contents[:N_MATERIALS].sum(axis=1)
-    own = contents.reshape(N_CONTAINERS * N_MATERIALS, width)[:: N_MATERIALS + 1]
-    purity = np.divide(own, fill, out=np.zeros_like(fill), where=fill > 0.0)
+    fill = state.fill[:N_MATERIALS]
+    purity = np.divide(state.own, fill, out=np.zeros_like(fill), where=fill > 0.0)
     phi = np.maximum(purity - thresholds, 0.0)
     bound = np.zeros(width)
     for m in range(N_MATERIALS):
@@ -531,7 +597,7 @@ def _branch_and_bound(stack: TapeStack, n: int, incumbent: tuple[int, float]) ->
                 groups.append((upper, codes[width // 2 :], t))
                 codes = codes[: width // 2]
             state, codes = state.branch(), _branch_codes(codes)
-            _step(stack, t, codes & 1, state)
+            _step_and_score(stack, t, codes & 1, state)
             keep = _may_reach(state.total, _bound(state, *tables[t + 1], thresholds), best_reward)
             if not keep.all():
                 kept = np.flatnonzero(keep)  # in code order
@@ -551,16 +617,100 @@ def _code_to_bits(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def _mt_words(draws: Sequence[int], count: int) -> np.ndarray:
+    """The Mersenne Twister words of ``getrandbits(32 * count)`` results as a
+    (len(draws), count) ``uint32`` array, each row in draw order: CPython
+    fills such an integer with successive outputs, the least significant
+    word first."""
+    return np.frombuffer(b"".join(d.to_bytes(4 * count, "little") for d in draws), dtype="<u4").reshape(len(draws), count)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles ``random()`` makes of the word pairs along the last axis:
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, exact in float64."""
+    pairs = words.reshape(*words.shape[:-1], -1, 2)
+    return ((pairs[..., 0] >> 5) * 67108864.0 + (pairs[..., 1] >> 6)) / 9007199254740992.0
+
+
+def _random_bits(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.randrange(2) for _ in range(count)]`` as a ``uint8`` array,
+    leaving ``rng`` where those calls leave it.
+
+    ``randrange(2)`` takes a word's top two bits and draws again while they
+    read 2 or 3.  Each round draws only as many words as values are still
+    missing, so no word past the last value is drawn.
+    """
+    bits = np.empty(count, dtype=np.uint8)
+    filled = 0
+    while filled < count:
+        need = min(count - filled, _WORD_BUDGET)
+        top = _mt_words([rng.getrandbits(32 * need)], need)[0] >> 30
+        top = top[top < 2]
+        bits[filled : filled + len(top)] = top
+        filled += len(top)
+    return bits
+
+
+def _tournament_winners(fitness: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """:func:`tournament_select` over arrays of entrants: the fitter of
+    ``first[k]`` and ``second[k]``, the first on a tie."""
+    return np.where(fitness[first] >= fitness[second], first, second)
+
+
+def _breed(population: np.ndarray, fitness: np.ndarray, params: GaParams, rng: random.Random) -> np.ndarray:
+    """The next (P, n) generation, with the draws of the scalar operators.
+
+    Pairs are bred until P children exist, the last pair's second child
+    dropped when P is odd.  For each pair the control draws come first, in
+    order: two :func:`tournament_select` draws of two ``randrange(P)``, the
+    crossover coin (only when n >= 2), then the cut's ``randint``.  Its
+    2n :func:`mutate` coins follow as one ``getrandbits`` of 4n words,
+    which :func:`_doubles` turns into the ``random()`` doubles in draw
+    order.  Winners, :func:`crossover` (a pair without one is cut at n)
+    and the flips are then array ops over all pairs.
+    """
+    size, n = population.shape
+    pairs = (size + 1) // 2
+    randrange, coin, randint, getrandbits = rng.randrange, rng.random, rng.randint, rng.getrandbits
+    entrants: list[int] = []
+    cuts = [n] * pairs
+    flips = np.empty((pairs, 2 * n), dtype=bool)
+    group = max(1, _WORD_BUDGET // (4 * n))
+    draws: list[int] = []
+    for k in range(pairs):
+        entrants += (randrange(size), randrange(size), randrange(size), randrange(size))
+        if n >= 2 and coin() < params.crossover_rate:
+            cuts[k] = randint(1, n - 1)
+        draws.append(getrandbits(128 * n))
+        if len(draws) == group or k == pairs - 1:
+            flips[k + 1 - len(draws) : k + 1] = _doubles(_mt_words(draws, 4 * n)) < params.mutation_rate
+            draws.clear()
+    first, second = np.array(entrants, dtype=np.intp).reshape(pairs, 2, 2).transpose(2, 0, 1)
+    parents = population[_tournament_winners(fitness, first, second)]  # (pairs, 2, n)
+    # from the cut on, each child takes the other parent's bits
+    swapped = np.arange(n) >= np.array(cuts)[:, None, None]
+    children = np.where(swapped, parents[:, ::-1], parents)
+    children ^= flips.reshape(pairs, 2, n)
+    return children.reshape(2 * pairs, n)[:size]
+
+
 def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams) -> GaResult:
     """Evolve binary action sequences against the frozen-seed fitness.
 
     Tournament selection (size 2), single-point crossover, independent
     per-bit mutation.  The breeding population carries no elite; the best
-    candidate ever scored is archived separately and returned.  All
-    stochastic choices come from one sequential stream seeded by ga_seed and
-    are drawn before fitness dispatch.  The initial population and each
-    generation's children are scored in one :func:`evaluate_population` call
-    each, duplicates included.
+    candidate ever scored (the first of equal maxima, and the earliest
+    generation's on a tie) is archived separately and returned.  All
+    stochastic choices come from one sequential ``random.Random(ga_seed)``
+    stream and are drawn before fitness dispatch, in the order of
+    ``randrange(2)`` per bit of the initial population and then the scalar
+    operators' per pair.  The draws are taken in bulk
+    (:func:`_random_bits`, :func:`_breed`) and the operators run as array
+    ops on a ``uint8`` (P, n) population, so every result is the one
+    :func:`tournament_select`, :func:`crossover` and :func:`mutate` would
+    give.  The initial population and each generation's children are
+    scored in one :func:`evaluate_population` call each, duplicates
+    included.
     """
     if n < 1:
         raise ContractViolation("horizon must be >= 1")
@@ -568,29 +718,18 @@ def ga_optimize(config: EnvConfig, seed: int, n: int, params: GaParams) -> GaRes
         raise ContractViolation(f"{n} actions exceed episode_len {config.episode_len}")
     rng = random.Random(params.ga_seed)
     stack = TapeStack(config, (seed,), n)
-    population = [[rng.randrange(2) for _ in range(n)] for _ in range(params.population)]
+    population = _random_bits(rng, params.population * n).reshape(params.population, n)
     best_bits, best_reward = (), -math.inf
     stats: list[GenStats] = []
     for generation in range(params.generations + 1):
         if generation:
-            children: list[list[int]] = []
-            while len(children) < params.population:
-                pa = population[tournament_select(population, fitnesses, rng)]
-                pb = population[tournament_select(population, fitnesses, rng)]
-                if n >= 2 and rng.random() < params.crossover_rate:
-                    cut = rng.randint(1, n - 1)
-                    ca, cb = crossover(pa, pb, cut)
-                else:
-                    ca, cb = list(pa), list(pb)
-                children.append(mutate(ca, params.mutation_rate, rng))
-                children.append(mutate(cb, params.mutation_rate, rng))
-            population = children[: params.population]
-        bits = np.frombuffer(b"".join(map(bytes, population)), np.uint8).reshape(params.population, n)
-        fitnesses = evaluate_population(stack, bits).tolist()
+            population = _breed(population, fitness, params, rng)
+        fitness = evaluate_population(stack, population)
+        fitnesses = fitness.tolist()
         stats.append(_gen_stats(fitnesses))
         best = max(range(params.population), key=lambda i: fitnesses[i])
         if fitnesses[best] > best_reward:
-            best_bits, best_reward = tuple(population[best]), fitnesses[best]
+            best_bits, best_reward = tuple(population[best].tolist()), fitnesses[best]
     return GaResult(best_bits, best_reward, stats[0], stats[1:], params.population * (params.generations + 1))
 
 

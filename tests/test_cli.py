@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sortplant
 from sortplant.cli import main, parse_seed_spec
 from sortplant.cli import UsageError
+from sortplant.planners import MAX_GENERATIONS, MAX_POPULATION
 
 
 def test_parse_seed_spec_forms():
@@ -371,4 +377,57 @@ def test_brute_force_command_lines_end_in_an_exit_code(command, length, seed, sp
             argv = ["brute", "--seed", str(seed), "--len", str(length), "--out", str(Path(tmp) / "best.json")]
         else:
             argv = ["bench", "--strategies", "BF", "--seeds", spec, "--len", str(length), "--out", tmp, "--workers", str(workers)]
+        assert main(argv) in (0, 1, 2, 3)
+
+
+def test_a_ga_run_leaves_numpy_random_unloaded():
+    # the GA takes its bulk draws from its own random.Random stream:
+    # importing numpy.random would add about 1.8 MB of resident memory and
+    # 11 ms to every run
+    src = os.path.dirname(os.path.dirname(sortplant.__file__))
+    probe = (
+        "import sys; from sortplant.cli import main; "
+        "code = main(['ga', '--seed', '1', '--len', '5', '--pop', '4', '--gens', '1']); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip().splitlines()[-1] == "0 False"
+
+
+# sha256 of the bytes `ga --seed 3 --len 40 --out F` writes and of the
+# manifest of `demo-gen --seeds 1000..1002`, both at default GaParams.  They
+# were recorded with the scalar GA operators, which the array operators
+# reproduce draw for draw
+GA_RECORD_SHA256 = "4deddc6c12f9185e71014267a9692f067a8e34cb0ca173a1808998f87760c502"
+CAMPAIGN_MANIFEST_SHA256 = "b1dbe2d7ba74979f72e7651ffbe5a6843d2ca411367e6de77a6bfeb378410067"
+
+
+def test_ga_record_and_campaign_manifest_bytes_are_pinned(tmp_path, capsys):
+    assert main(["ga", "--seed", "3", "--len", "40", "--out", str(tmp_path / "ga.json")]) == 0
+    assert main(["demo-gen", "--seeds", "1000..1002", "--out", str(tmp_path / "demos")]) == 0
+    assert hashlib.sha256((tmp_path / "ga.json").read_bytes()).hexdigest() == GA_RECORD_SHA256
+    assert hashlib.sha256((tmp_path / "demos" / "manifest.json").read_bytes()).hexdigest() == CAMPAIGN_MANIFEST_SHA256
+
+
+# edge values for the GA's options: sizes around the caps and at the
+# smallest populations, non-finite and out-of-range rates, and horizons at
+# and past episode_len (100).  Valid values stay small, so each run is quick
+_GA_POPS = st.sampled_from([-1, 0, 1, 2, 3, MAX_POPULATION + 1])
+_GA_GENS = st.sampled_from([-1, 0, 1, MAX_GENERATIONS + 1])
+_GA_RATES = st.sampled_from(["nan", "inf", "-0.0", "0", "1", "1.5"])
+_GA_LENGTHS = st.sampled_from([-1, 0, 1, 2, 100, 101, 2**63])
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["ga", "demo-gen"]), pop=_GA_POPS, gens=_GA_GENS, cx=_GA_RATES, mut=_GA_RATES, length=_GA_LENGTHS)
+# runs that pass every check, at the smallest population and the edge rates
+@example(command="ga", pop=3, gens=1, cx="-0.0", mut="1", length=100)
+@example(command="demo-gen", pop=2, gens=1, cx="1", mut="-0.0", length=1)
+def test_ga_command_lines_end_in_an_exit_code(command, pop, gens, cx, mut, length):
+    ga_args = ["--pop", str(pop), "--gens", str(gens), "--cx", cx, "--mut", mut]
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "ga":
+            argv = ["ga", "--seed", "3", "--len", str(length), *ga_args, "--out", str(Path(tmp) / "ga.json")]
+        else:  # a campaign plans whole episodes, so it takes no --len
+            argv = ["demo-gen", "--seeds", "1000", *ga_args, "--out", tmp]
         assert main(argv) in (0, 1, 2, 3)

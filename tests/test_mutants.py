@@ -11,7 +11,11 @@ than skipping the row; such a refactor updates the row.
 Known equivalent mutants are left out of the table, with the argument:
 
 - the prune's ``>=`` as ``>`` with its margin kept: a column would have to
-  land exactly on the incumbent less the margin, and no example does.
+  land exactly on the incumbent less the margin, and no example does;
+- ``evaluate_population``'s ``rows <= 1`` as ``rows < 1``: blocks of one
+  step add the same rewards in the same order, only more slowly;
+- ``_doubles``' division by 2**53 as a multiplication by 2**-53: scaling by
+  a power of two is exact either way (CPython's ``random()`` multiplies).
 """
 
 from __future__ import annotations
@@ -26,8 +30,16 @@ import pytest
 import sortplant
 from sortplant.config import EnvConfig
 from sortplant.env import TapeStack
-from sortplant.planners import episode_reward
-from test_planners import TIE_CFG, assert_bound_is_admissible, assert_brute_force_matches_scan, assert_ties_replace_a_higher_incumbent
+from sortplant.planners import GaParams, episode_reward
+from test_planners import (
+    TIE_CFG,
+    assert_bound_is_admissible,
+    assert_brute_force_matches_scan,
+    assert_bulk_draws_match_the_scalar_draws,
+    assert_ga_matches_reference_ga,
+    assert_ties_replace_a_higher_incumbent,
+    assert_tournaments_match_tournament_select,
+)
 from test_press import PINNED_ACTIONS, PINNED_REGIMES
 
 # the pinned evaluator examples: every press regime under three action rows,
@@ -40,14 +52,40 @@ _EVALUATOR_EXAMPLES.append((EnvConfig(), 10, [[t % 2 for t in range(100)], [(t /
 
 
 def _evaluator_matches_episode_reward(module):
+    # each example at the module's reward budget (one block of every step),
+    # in blocks of 16 steps, which leave a last block of 4, and one step at
+    # a time
     for cfg, seed, rows in _EVALUATOR_EXAMPLES:
-        rewards = module.evaluate_population(TapeStack(cfg, (seed,), len(rows[0])), rows)
-        assert [float(r).hex() for r in rewards] == [episode_reward(cfg, seed, row).hex() for row in rows]
+        expected = [episode_reward(cfg, seed, row).hex() for row in rows]
+        for budget in (module._REWARD_BUDGET, 16 * len(rows), 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, "_REWARD_BUDGET", budget)
+                rewards = module.evaluate_population(TapeStack(cfg, (seed,), len(rows[0])), rows)
+            assert [float(r).hex() for r in rewards] == expected, budget
 
 
 def _tree_matches_scan(module):
     for _, overrides, *_ in PINNED_REGIMES[:3]:
         assert_brute_force_matches_scan(module, EnvConfig(**overrides), 11, 7, 8)
+
+
+def _bulk_draws_match_the_scalar_draws(module):
+    for ga_seed, count, draws in [(-1, 7, 3), (0, 1, 1), (2**70 + 3, 40, 2)]:
+        assert_bulk_draws_match_the_scalar_draws(module, ga_seed, count, draws)
+
+
+# a tie config (every sequence ties, so the tie rules decide), a default
+# config and an odd population
+_GA_EXAMPLES = [
+    (EnvConfig(baseline_accuracy=0.9, boost_noise=0.1), 3, 6, GaParams(population=5, generations=3, ga_seed=1)),
+    (EnvConfig(), 6, 12, GaParams(population=7, generations=3, ga_seed=11)),
+    (EnvConfig(), 17, 20, GaParams(population=20, generations=4, crossover_rate=0.5, ga_seed=2**70 + 3)),
+]
+
+
+def _ga_matches_reference_ga(module):
+    for cfg, seed, n, params in _GA_EXAMPLES:
+        assert_ga_matches_reference_ga(module, cfg, seed, n, params)
 
 
 def _bound_is_admissible(module):
@@ -91,17 +129,69 @@ MUTANTS = [
     ("planners", "        e_contents += spill[3]\n", "", "the spill skips container D", _evaluator_matches_episode_reward),
     (
         "planners",
-        "total += ((reward[0] + reward[1]) + reward[2]) + reward[3]",
-        "total += (reward[0] + reward[1]) + (reward[2] + reward[3])",
+        "return ((reward[..., 0, :] + reward[..., 1, :]) + reward[..., 2, :]) + reward[..., 3, :]",
+        "return (reward[..., 0, :] + reward[..., 1, :]) + (reward[..., 2, :] + reward[..., 3, :])",
         "the step reward's sum is reassociated in pairs",
         _evaluator_matches_episode_reward,
     ),
     (
         "planners",
-        "total += ((reward[0] + reward[1]) + reward[2]) + reward[3]",
-        "total += reward[0] + (reward[1] + (reward[2] + reward[3]))",
+        "return ((reward[..., 0, :] + reward[..., 1, :]) + reward[..., 2, :]) + reward[..., 3, :]",
+        "return reward[..., 0, :] + (reward[..., 1, :] + (reward[..., 2, :] + reward[..., 3, :]))",
         "the step reward's sum is folded from the right",
         _evaluator_matches_episode_reward,
+    ),
+    (
+        "planners",
+        "                block[1:] = _step_reward(config, own[: row + 1], filled[: row + 1])\n",
+        "                block[1:] = _step_reward(config, own[: row + 1], filled[: row + 1])[::-1]\n",
+        "a block's reward rows are summed out of step order",
+        _evaluator_matches_episode_reward,
+    ),
+    ("planners", "            fill[rows, cols] = 0.0\n", "", "a press leaves the fill unzeroed", _evaluator_matches_episode_reward),
+    # the GA's bulk draws and array operators
+    (
+        "planners",
+        "((pairs[..., 0] >> 5) * 67108864.0 + (pairs[..., 1] >> 6))",
+        "((pairs[..., 0] >> 6) * 67108864.0 + (pairs[..., 1] >> 5))",
+        "the two word shifts of a double are swapped",
+        _bulk_draws_match_the_scalar_draws,
+    ),
+    (
+        "planners",
+        'd.to_bytes(4 * count, "little")',
+        'd.to_bytes(4 * count, "big")',
+        "a draw's words are read most significant first",
+        _bulk_draws_match_the_scalar_draws,
+    ),
+    (
+        "planners",
+        "np.where(fitness[first] >= fitness[second], first, second)",
+        "np.where(fitness[first] > fitness[second], first, second)",
+        "tournament ties go to the second entrant",
+        assert_tournaments_match_tournament_select,
+    ),
+    ("planners", "cuts = [n] * pairs", "cuts = [0] * pairs", "a pair without crossover swaps its parents", _ga_matches_reference_ga),
+    (
+        "planners",
+        "if fitnesses[best] > best_reward:",
+        "if fitnesses[best] >= best_reward:",
+        "the archive keeps the last of equal bests",
+        _ga_matches_reference_ga,
+    ),
+    (
+        "planners",
+        "best = max(range(params.population), key=lambda i: fitnesses[i])",
+        "best = max(reversed(range(params.population)), key=lambda i: fitnesses[i])",
+        "a generation's best is the last of equal maxima",
+        _ga_matches_reference_ga,
+    ),
+    (
+        "planners",
+        "sum(fitnesses) / len(fitnesses)",
+        "(sum(fitnesses[: len(fitnesses) // 2]) + sum(fitnesses[len(fitnesses) // 2 :])) / len(fitnesses)",
+        "the generation mean is reassociated",
+        _ga_matches_reference_ga,
     ),
     # the brute-force tree
     (

@@ -108,6 +108,70 @@ def test_tournament_single_candidate():
     assert all(tournament_select([[0, 1]], [0.5], rng) == 0 for _ in range(10))
 
 
+# (fitnesses, first entrant, second entrant): ties, signed zeros and a
+# lone candidate drawn twice
+TOURNAMENT_ROWS = [
+    ([3.2, 1.1], 0, 1),
+    ([3.2, 1.1], 1, 0),
+    ([2.0, 2.0], 1, 0),
+    ([2.0, 2.0], 0, 1),
+    ([-0.0, 0.0], 0, 1),
+    ([0.0, -0.0], 1, 0),
+    ([1.0, 5.0, 5.0], 2, 1),
+    ([-7.5, 5.0, 9.0], 0, 2),
+    ([0.5], 0, 0),
+]
+
+
+def assert_tournaments_match_tournament_select(module):
+    """``module._tournament_winners`` picks what ``tournament_select`` picks
+    on every row of ``TOURNAMENT_ROWS``, one row at a time and all at once
+    over a shared fitness array."""
+    expected = [tournament_select([[0]] * len(f), f, ScriptedRng(randranges=[i, j])) for f, i, j in TOURNAMENT_ROWS]
+    for (fitnesses, i, j), winner in zip(TOURNAMENT_ROWS, expected):
+        assert module._tournament_winners(np.array(fitnesses), np.array([i]), np.array([j])).tolist() == [winner]
+    offsets = np.cumsum([0] + [len(f) for f, _, _ in TOURNAMENT_ROWS[:-1]])
+    shared = np.array([x for f, _, _ in TOURNAMENT_ROWS for x in f])
+    first = offsets + [i for _, i, _ in TOURNAMENT_ROWS]
+    second = offsets + [j for _, _, j in TOURNAMENT_ROWS]
+    assert (module._tournament_winners(shared, first, second) - offsets).tolist() == expected
+
+
+def test_array_tournament_matches_tournament_select():
+    assert_tournaments_match_tournament_select(planners)
+
+
+# GA stream seeds: negative (random.Random seeds with the absolute value),
+# zero, and past 2**64, where the seed's key takes more than two words
+_GA_SEEDS = st.sampled_from([-1, -(2**40) - 7, 0, 2**64 + 1, 2**70 + 3]) | st.integers(-(2**31), 2**31)
+_DRAW_COUNTS = st.sampled_from([0, 1, 2, 7, 999, 5000]) | st.integers(0, 64)
+
+
+def assert_bulk_draws_match_the_scalar_draws(module, ga_seed, count, draws):
+    """``module._random_bits`` gives ``count`` ``randrange(2)`` draws, and
+    ``draws`` ``getrandbits`` calls turned into doubles give ``draws *
+    count`` ``random()`` draws, bit for bit, each leaving the stream where
+    the scalar calls leave it."""
+    bulk, scalar = random.Random(ga_seed), random.Random(ga_seed)
+    bits = module._random_bits(bulk, count)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [scalar.randrange(2) for _ in range(count)]
+    assert bulk.getstate() == scalar.getstate()
+    doubles = module._doubles(module._mt_words([bulk.getrandbits(64 * count) for _ in range(draws)], 2 * count))
+    assert doubles.shape == (draws, count)
+    assert [float(x).hex() for x in doubles.ravel()] == [scalar.random().hex() for _ in range(draws * count)]
+    assert bulk.getstate() == scalar.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ga_seed=_GA_SEEDS, count=_DRAW_COUNTS, draws=st.integers(1, 4), budget=st.sampled_from([1, 3, 64, planners._WORD_BUDGET]))
+def test_bulk_draws_match_the_scalar_draws(ga_seed, count, draws, budget):
+    # a small word budget makes _random_bits draw its words in many rounds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "_WORD_BUDGET", budget)
+        assert_bulk_draws_match_the_scalar_draws(planners, ga_seed, count, draws)
+
+
 # --- rollout ---------------------------------------------------------------
 
 
@@ -161,17 +225,34 @@ def bit_matrices(draw):
 def _pinned_press_regimes(test):
     for _, overrides, *_ in PINNED_REGIMES:
         bits = [PINNED_ACTIONS, [1 - b for b in PINNED_ACTIONS], [0] * len(PINNED_ACTIONS)]
-        test = example(cfg=EnvConfig(**overrides), seed=11, bits=bits)(test)
+        test = example(cfg=EnvConfig(**overrides), seed=11, bits=bits, budget=planners._REWARD_BUDGET)(test)
     return test
 
 
+# besides the real reward budget (one block of every step here), a budget of
+# 1-40 column-steps over 1-8 columns gives blocks of 0-40 steps, so both the
+# one-step path and blocks that end mid-episode run
 @settings(max_examples=100, deadline=None)
-@given(cfg=gate_configs, seed=st.integers(0, 2**32), bits=bit_matrices())
+@given(cfg=gate_configs, seed=st.integers(0, 2**32), bits=bit_matrices(), budget=st.just(planners._REWARD_BUDGET) | st.integers(1, 40))
 @_pinned_press_regimes
-def test_evaluate_population_is_bit_identical_to_episode_reward(cfg, seed, bits):
-    rewards = evaluate_population(TapeStack(cfg, (seed,), len(bits[0])), bits)
+def test_evaluate_population_is_bit_identical_to_episode_reward(cfg, seed, bits, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "_REWARD_BUDGET", budget)
+        rewards = evaluate_population(TapeStack(cfg, (seed,), len(bits[0])), bits)
     assert rewards.shape == (len(bits),)
     assert [float(r).hex() for r in rewards] == [episode_reward(cfg, seed, row).hex() for row in bits]
+
+
+@pytest.mark.parametrize("pop", [100, 150, 1700])
+def test_evaluate_population_at_the_reward_budget(pop):
+    # at the real budget: blocks of 16 and 10 steps, which do not divide
+    # n = 37, and one step at a time past 1600 columns.  The columns repeat
+    # 12 drawn rows, so each scalar reward is computed once
+    n, rng = 37, random.Random(pop)
+    rows = [[rng.randrange(2) for _ in range(n)] for _ in range(12)]
+    expected = [episode_reward(CFG, 9, row).hex() for row in rows]
+    rewards = evaluate_population(TapeStack(CFG, (9,), n), [rows[i % 12] for i in range(pop)])
+    assert [float(r).hex() for r in rewards] == [expected[i % 12] for i in range(pop)]
 
 
 @st.composite
@@ -336,7 +417,7 @@ def tree_levels(module, cfg, seed, n):
         for t in range(n + 1):
             if t:
                 state, codes = state.branch(), module._branch_codes(codes)
-                module._step(stack, t - 1, codes & 1, state)
+                module._step_and_score(stack, t - 1, codes & 1, state)
             yield t, state, module._bound(state, *tables[t], thresholds)
 
 
@@ -586,10 +667,32 @@ def reference_ga(config, seed, n, params):
 # tournament and the archive fall to their tie rules
 @example(cfg=EnvConfig(baseline_accuracy=0.9, boost_noise=0.1), seed=3, n=6, params=GaParams(population=5, generations=3, ga_seed=1))
 def test_ga_matches_a_scalar_reference_ga(cfg, seed, n, params):
-    result = ga_optimize(cfg, seed, n, params)
+    assert_ga_matches_reference_ga(planners, cfg, seed, n, params)
+
+
+def assert_ga_matches_reference_ga(module, cfg, seed, n, params):
+    """``module.ga_optimize`` gives :func:`reference_ga`'s result bit for bit."""
+    result = module.ga_optimize(cfg, seed, n, params)
     best, best_reward, stats = reference_ga(cfg, seed, n, params)
     assert result.best_sequence == best
     assert result.best_reward.hex() == best_reward.hex()
     observed = [result.initial_stats] + result.per_generation
     assert [[x.hex() for x in row] for row in observed] == [[x.hex() for x in row] for row in stats]
     assert result.evaluations == params.population * (params.generations + 1)
+
+
+@pytest.mark.parametrize("budget", [1, 100])
+def test_ga_matches_a_scalar_reference_ga_in_small_word_groups(budget, monkeypatch):
+    # n = 12 takes 48 words per pair, so a budget of 100 converts the
+    # mutation words two pairs at a time and one of 1 a pair at a time and
+    # the initial population a word at a time; 7 is odd, so each generation
+    # ends on a group of one pair
+    monkeypatch.setattr(planners, "_WORD_BUDGET", budget)
+    assert_ga_matches_reference_ga(planners, CFG, 6, 12, GaParams(population=7, generations=3, ga_seed=11))
+
+
+def test_ga_best_sequence_is_a_tuple_of_python_ints():
+    result = ga_optimize(CFG, 4, 12, SMALL_GA)
+    assert type(result.best_sequence) is tuple and len(result.best_sequence) == 12
+    assert all(type(bit) is int for bit in result.best_sequence)
+    assert type(result.best_reward) is float
