@@ -81,10 +81,10 @@ BRUTE_FORCE_BEAM = 8
 # a few more columns; it never changes the result
 _PRUNE_MARGIN = 1e-9
 # column-steps whose rewards evaluate_population scores in one block of
-# _REWARD_BUDGET // P steps: 16 at the GA's P = 100, 32 at P = 50.  Past P
-# = 800 a block would hold one step, and each step is scored as it goes:
-# at P = 1000 blocks of 16 steps took 1.34x the time of one step at a time
-# (24.0 against 17.9 ms for n = 100), because a step's ops no longer cost
+# max(1, _REWARD_BUDGET // P) steps: 16 at the GA's P = 100, 32 at P = 50,
+# one from P = 801.  The block is a budget, not a fixed number of steps: at
+# P = 1000 fixed blocks of 16 steps took 1.14x the time of blocks of one
+# (23.1 against 20.3 ms for n = 100), because a step's ops no longer cost
 # more than its row copies (interleaved medians of 30 calls, 2-CPU Linux
 # container; CHANGES.md has the table)
 _REWARD_BUDGET = 1600
@@ -321,10 +321,10 @@ def evaluate_population(
     :func:`_step` calls; step t gathers column i's deposits at
     ``2 * tape_of_col[i] + bits[i, t]`` of the stack's sort table.  Each
     step's own material and fill of A-D are copied into row buffers, and
-    :func:`_step_reward` scores ``_REWARD_BUDGET // P`` steps at once.  The
-    rows are added to the totals in step order by ``np.add.accumulate``,
-    which sums them one after the other, as one step at a time would.  When
-    a block would hold one step or none, each step is scored as it goes.
+    :func:`_step_reward` scores ``max(1, _REWARD_BUDGET // P)`` steps at
+    once.  The rows are added to the totals in step order by
+    ``np.add.accumulate``, which sums them one after the other, as one step
+    at a time would.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2:
@@ -349,12 +349,7 @@ def evaluate_population(
     state = _Columns.start(config, pop)
     if pop == 0:  # pending.min() in _step needs a column
         return state.total
-    rows = min(n, _REWARD_BUDGET // pop)
-    if rows <= 1:  # a block of one step gains nothing from the row copies
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for t in range(n):
-                _step_and_score(stack, t, table_cols[:, t], state)
-        return state.total
+    rows = max(1, min(n, _REWARD_BUDGET // pop))
     own = np.empty((rows, N_MATERIALS, pop))
     filled = np.empty((rows, N_MATERIALS, pop))
     # row 0 holds the totals before a block of steps, row r + 1 the totals

@@ -12,8 +12,6 @@ Known equivalent mutants are left out of the table, with the argument:
 
 - the prune's ``>=`` as ``>`` with its margin kept: a column would have to
   land exactly on the incumbent less the margin, and no example does;
-- ``evaluate_population``'s ``rows <= 1`` as ``rows < 1``: blocks of one
-  step add the same rewards in the same order, only more slowly;
 - ``_doubles``' division by 2**53 as a multiplication by 2**-53: scaling by
   a power of two is exact either way (CPython's ``random()`` multiplies).
 """
@@ -53,8 +51,8 @@ _EVALUATOR_EXAMPLES.append((EnvConfig(), 10, [[t % 2 for t in range(100)], [(t /
 
 def _evaluator_matches_episode_reward(module):
     # each example at the module's reward budget (one block of every step),
-    # in blocks of 16 steps, which leave a last block of 4, and one step at
-    # a time
+    # in blocks of 16 steps, which leave a last block of 4, and in blocks of
+    # one step, which a budget below the column count gives
     for cfg, seed, rows in _EVALUATOR_EXAMPLES:
         expected = [episode_reward(cfg, seed, row).hex() for row in rows]
         for budget in (module._REWARD_BUDGET, 16 * len(rows), 1):
@@ -149,6 +147,20 @@ MUTANTS = [
         _evaluator_matches_episode_reward,
     ),
     ("planners", "            fill[rows, cols] = 0.0\n", "", "a press leaves the fill unzeroed", _evaluator_matches_episode_reward),
+    (
+        "planners",
+        "rows = max(1, min(n, _REWARD_BUDGET // pop))",
+        "rows = min(n, _REWARD_BUDGET // pop)",
+        "a block past the budget holds no step",
+        _evaluator_matches_episode_reward,
+    ),
+    (
+        "planners",
+        "if row == rows - 1 or t == n - 1:",
+        "if row == rows - 1:",
+        "a last block shorter than the others is never scored",
+        _evaluator_matches_episode_reward,
+    ),
     # the GA's bulk draws and array operators
     (
         "planners",

@@ -230,8 +230,9 @@ def _pinned_press_regimes(test):
 
 
 # besides the real reward budget (one block of every step here), a budget of
-# 1-40 column-steps over 1-8 columns gives blocks of 0-40 steps, so both the
-# one-step path and blocks that end mid-episode run
+# 1-40 column-steps over 1-8 columns gives blocks of 1-40 steps, so blocks
+# of one step (the budget below the column count) and blocks that end
+# mid-episode both run
 @settings(max_examples=100, deadline=None)
 @given(cfg=gate_configs, seed=st.integers(0, 2**32), bits=bit_matrices(), budget=st.just(planners._REWARD_BUDGET) | st.integers(1, 40))
 @_pinned_press_regimes
@@ -246,7 +247,7 @@ def test_evaluate_population_is_bit_identical_to_episode_reward(cfg, seed, bits,
 @pytest.mark.parametrize("pop", [100, 150, 1700])
 def test_evaluate_population_at_the_reward_budget(pop):
     # at the real budget: blocks of 16 and 10 steps, which do not divide
-    # n = 37, and one step at a time past 1600 columns.  The columns repeat
+    # n = 37, and blocks of one step past 1600 columns.  The columns repeat
     # 12 drawn rows, so each scalar reward is computed once
     n, rng = 37, random.Random(pop)
     rows = [[rng.randrange(2) for _ in range(n)] for _ in range(12)]
