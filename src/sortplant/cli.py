@@ -2,22 +2,34 @@
 
 Subcommands: simulate, brute, ga, demo-gen, validate, bench, defaults.
 Exit codes: 0 success, 1 usage or config error, 2 validation failure,
-3 I/O error.  Progress and timing go to stderr; machine-readable results go
-to files or stdout, and never depend on timing.  --workers N (N >= 1) on
-demo-gen and bench spreads campaign seeds or bench cells over N processes
-through planners.parallel_map; it changes wall time only, never any number.
-At most os.cpu_count() processes are opened, whatever N.  Only those two
-commands take --workers: the GA scores each generation in one batched call,
-and brute walks its decision tree in one process, skipping every subtree
-whose bound cannot reach the best sequence found so far.
+3 I/O error; demo-gen and bench exit 3 before any scoring when --out cannot
+become a directory.  Progress and timing go to stderr; machine-readable
+results go to files or stdout, and never depend on timing.  --workers N
+(N >= 1) on demo-gen and bench spreads campaign seeds or bench cells over N
+processes through planners.parallel_map; it changes wall time only, never
+any number.  At most os.cpu_count() processes are opened, whatever N.  Only
+those two commands take --workers: the GA scores each generation in one
+batched call, and brute walks its decision tree in one process, skipping
+every subtree whose bound cannot reach the best sequence found so far.
+
+The argument parser is built once per process, on the first call of
+:func:`build_parser`, and every later :func:`main` call reuses it.  That is
+safe because a parse leaves nothing behind: argparse gives each parse a
+fresh ``Namespace``, no option appends to a shared list or has a mutable
+default, defaults are read from ``GaParams`` when the parser is built, and
+caps are checked when a command runs, not in the parser.  Importing the
+module builds no parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -88,6 +100,7 @@ def _add_ga_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ga-seed", type=int, default=GaParams.ga_seed, help="GA stream seed")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="sortplant", description="Waste-sorting plant simulator, planners, and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -168,6 +181,17 @@ def _emit(payload: dict, out: Optional[Path]) -> None:
     print(text)
 
 
+def _check_out_dir(out: Path) -> None:
+    """Fail before any work when ``out`` cannot become a directory: it exists
+    and is not one, or its nearest existing parent is not one.  Creates
+    nothing."""
+    for path in (out, *out.parents):
+        if os.path.lexists(path):
+            if not path.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+            return
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if args.len is not None and args.len < 1:
@@ -245,6 +269,7 @@ def _cmd_demo_gen(args: argparse.Namespace) -> int:
     if not math.isfinite(args.min_improvement):
         raise UsageError(f"--min-improvement must be finite, got {args.min_improvement}")
     seeds = parse_seed_spec(args.seeds, demo_mod.MAX_CAMPAIGN_SEEDS)
+    _check_out_dir(args.out)
     print(f"demo-gen: {len(seeds)} seeds, workers={args.workers}", file=sys.stderr)
     manifest = demo_mod.run_campaign(
         config,
@@ -270,6 +295,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seeds = tuple(parse_seed_spec(args.seeds, pool=range(demo_mod.BENCH_SEED_LIMIT)))
     spec = bench_mod.BenchSpec(strategies=strategies, seeds=seeds, horizon=args.len, ga_params=_ga_params(args))
     external = bench_mod.load_external_scores(args.external) if args.external else None
+    _check_out_dir(args.out)
     print(
         f"bench: {len(strategies)} strategies x {len(seeds)} seeds, horizon {args.len}, workers={args.workers}",
         file=sys.stderr,

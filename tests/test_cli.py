@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sortplant
-from sortplant.cli import main, parse_seed_spec
+from sortplant.cli import build_parser, main, parse_seed_spec
 from sortplant.cli import UsageError
 from sortplant.planners import MAX_GENERATIONS, MAX_POPULATION
 
@@ -431,3 +431,186 @@ def test_ga_command_lines_end_in_an_exit_code(command, pop, gens, cx, mut, lengt
         else:  # a campaign plans whole episodes, so it takes no --len
             argv = ["demo-gen", "--seeds", "1000", *ga_args, "--out", tmp]
         assert main(argv) in (0, 1, 2, 3)
+
+
+# -- one parser per process -------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(sortplant.__file__))
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import sortplant.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": _SRC})
+    assert run.stdout.strip() == "0"
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _reuse_sequence(name: str, tmp_path: Path) -> tuple[list[str], list[str], list[str]]:
+    """(first argv, second argv without the first's options, a usage-error
+    argv that sets the first's options before it fails).  Outputs go to
+    relative paths, so a run writes into its working directory."""
+    if name == "ga":
+        first = ["ga", "--seed", "3", "--len", "8", "--pop", "4", "--gens", "1", "--out", "A"]
+        return first, ["ga", "--seed", "3", "--len", "8", "--out", "B"], first + ["--len", "x"]
+    bench = ["bench", "--strategies", "R,RB", "--seeds", "0..3", "--len", "10"]
+    if name == "bench-external":
+        scores = tmp_path / "ext.csv"
+        scores.write_text("strategy,seed,reward\nDQN,0,1.5\nDQN,2,-0.25\n")
+        option = ["--external", str(scores)]
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("belt_delay: 0\npenalty_factor: 1.0\n")
+        option = ["--config", str(cfg)]
+    first = bench + option + ["--out", "first"]
+    return first, bench + ["--out", "second"], first + ["--len", "x"]
+
+
+@pytest.mark.parametrize("name", ["ga", "bench-external", "bench-config"])
+def test_a_reused_parser_carries_nothing_between_calls(name, tmp_path, capsys, monkeypatch):
+    first, second, usage_error = _reuse_sequence(name, tmp_path)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    expected = []
+    for argv in (first, second):
+        run = subprocess.run(
+            [sys.executable, "-m", "sortplant.cli", *argv], capture_output=True, text=True, cwd=fresh, env={**os.environ, "PYTHONPATH": _SRC}
+        )
+        expected.append((run.returncode, run.stdout))
+    assert [code for code, _ in expected] == [0, 0]
+
+    for between in ([], [usage_error]):
+        here = tmp_path / f"in-process-{len(between)}"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        seen = []
+        for argv in [first, *between, second]:
+            code = main(argv)
+            seen.append((code, capsys.readouterr().out))
+        if between:
+            assert seen.pop(1)[0] == 1
+        assert seen == expected
+        assert _tree(here) == _tree(fresh)
+
+
+# -- an unusable --out ------------------------------------------------------
+
+_OUT_ARGVS = {
+    "demo-gen": ["demo-gen", "--seeds", "1000..1002", "--pop", "4", "--gens", "1"],
+    "bench": ["bench", "--strategies", "R,RB,GA", "--seeds", "0..2", "--len", "3", "--pop", "4", "--gens", "1"],
+}
+
+
+@pytest.mark.parametrize("where", ["out-is-a-file", "parent-is-a-file"])
+@pytest.mark.parametrize("command", sorted(_OUT_ARGVS))
+def test_an_unusable_out_fails_before_any_scoring(command, where, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("--out is checked before any scoring")
+
+    for planner in ("demo.ga_optimize", "bench.ga_optimize", "bench.evaluate_population"):
+        monkeypatch.setattr(f"sortplant.{planner}", unreachable)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker if where == "out-is-a-file" else blocker / "nested" / "out"
+    assert main(_OUT_ARGVS[command] + ["--out", str(out)]) == 3
+    assert "Not a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+
+# -- the remaining command lines as properties -------------------------------
+
+# edge values per option.  Work sizes stay small: GA populations of at most
+# three columns and one generation, seed specs of at most three seeds, and a
+# one-seed campaign of two candidates for validate to check
+_EDGE_SEEDS = st.sampled_from([0, 1, -1, 999, 1000, 2**63, -(2**63), 2**64 + 1, 10**30])
+_EDGE_LENGTHS = st.sampled_from([-1, 0, 1, 2, 100, 101, 2**63])
+_EDGE_ACTIONS = st.sampled_from(["", "0", "1", "0110", "01" * 50, "0" * 101, "2", "0 1", "-1"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_EDGE_SEEDS,
+    policy=st.sampled_from([None, "random", "rule", "greedy", ""]),
+    policy_seed=st.none() | _EDGE_SEEDS,
+    actions=st.none() | _EDGE_ACTIONS,
+    length=st.none() | _EDGE_LENGTHS,
+)
+# runs that pass every check: a policy over a whole episode and a scripted
+# episode at the edge seeds
+@example(seed=2**64 + 1, policy="random", policy_seed=-(2**63), actions=None, length=None)
+@example(seed=-1, policy=None, policy_seed=None, actions="01" * 50, length=100)
+def test_simulate_command_lines_end_in_an_exit_code(seed, policy, policy_seed, actions, length):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["simulate", "--seed", str(seed), "--out", str(Path(tmp) / "t.jsonl")]
+        for option, value in (("--policy", policy), ("--policy-seed", policy_seed), ("--actions", actions), ("--len", length)):
+            if value is not None:
+                argv.append(f"{option}={value}")
+        assert main(argv) in (0, 1, 2, 3)
+
+
+_MANIFEST_KEYS = ["format_version", "config", "ga_params", "min_improvement", "seeds", "accepted_count", "rejected_count", "trajectories", "rejections"]
+_RECORD_KEYS = ["seed", "file", "ga_reward", "baseline_reward", "actions", "sha256"]
+_EDGE_JSON = st.sampled_from([None, -1, 0, 1, 2**63, 10**30, -0.0, 1e308, float("nan"), float("inf"), "", "x", [], [1], {}, True])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dataset=st.sampled_from(["missing", "file", "empty", "campaign"]),
+    tamper=st.none() | st.tuples(st.sampled_from(_MANIFEST_KEYS), _EDGE_JSON) | st.tuples(st.sampled_from(_RECORD_KEYS), _EDGE_JSON, st.just("record")),
+)
+@example(dataset="campaign", tamper=None)
+def test_validate_command_lines_end_in_an_exit_code(dataset, tamper):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data"
+        if dataset == "file":
+            path.write_text("{}\n")
+        elif dataset == "empty":
+            path.mkdir()
+        elif dataset == "campaign":
+            argv = ["demo-gen", "--seeds", "1000", "--pop", "2", "--gens", "0", "--min-improvement", "-100", "--out", str(path)]
+            assert main(argv) == 0
+            if tamper is not None:
+                manifest = json.loads((path / "manifest.json").read_text())
+                target = manifest["trajectories"][0] if len(tamper) == 3 else manifest
+                target[tamper[0]] = tamper[1]
+                (path / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["validate", str(path)])
+        assert code in (0, 1, 2, 3)
+        assert code == 0 or not (dataset == "campaign" and tamper is None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategies=st.sampled_from(["R", "RB", "GA", "R,RB", "R,RB,GA", "GA,R", "RB,RB", "R,X", ""]),
+    spec=_BENCH_SEED_SPECS,
+    length=_EDGE_LENGTHS,
+    pop=st.sampled_from([-1, 0, 2, 3]),
+    gens=st.sampled_from([-1, 0, 1]),
+    external=st.sampled_from([None, "strategy,seed,reward\nDQN,0,1.5\n", "strategy,seed,reward\nR,0,1.5\n", "strategy,seed,reward\nDQN,0,nan\n", "seed\n"]),
+    workers=st.integers(1, 2),
+)
+# runs that pass every check: every strategy at episode_len with an external
+# row, and one GA cell at the smallest population and no generations
+@example(strategies="R,RB,GA", spec="997..1000", length=100, pop=2, gens=1, external="strategy,seed,reward\nDQN,0,1.5\n", workers=1)
+@example(strategies="GA", spec="0", length=1, pop=2, gens=0, external=None, workers=2)
+def test_bench_command_lines_end_in_an_exit_code(strategies, spec, length, pop, gens, external, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["bench", f"--strategies={strategies}", f"--seeds={spec}", "--len", str(length), "--pop", str(pop), "--gens", str(gens)]
+        if external is not None:
+            scores = Path(tmp) / "ext.csv"
+            scores.write_text(external)
+            argv += ["--external", str(scores)]
+        argv += ["--out", str(Path(tmp) / "out"), "--workers", str(workers)]
+        assert main(argv) in (0, 1, 2, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(extra=st.lists(st.sampled_from(["--config", "x", "--seed", "1", "--", "defaults"]), max_size=2))
+def test_defaults_command_lines_end_in_an_exit_code(extra):
+    assert main(["defaults", *extra]) in (0, 1, 2, 3)

@@ -18,6 +18,7 @@ Known equivalent mutants are left out of the table, with the argument:
 
 from __future__ import annotations
 
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -39,6 +40,7 @@ from test_planners import (
     assert_tournaments_match_tournament_select,
 )
 from test_press import PINNED_ACTIONS, PINNED_REGIMES
+from test_rng import assert_streams_are_separate
 
 # the pinned evaluator examples: every press regime under three action rows,
 # and two rows of the default config.  A reassociated reward sum changes the
@@ -249,6 +251,14 @@ MUTANTS = [
         "a later group's tie replaces the incumbent",
         assert_ties_replace_a_higher_incumbent,
     ),
+    # the per-process key table
+    (
+        "rng",
+        "@functools.lru_cache(maxsize=256)\n",
+        "@lambda fn, table={}: lambda seed, stream: table.setdefault(seed, fn(seed, stream))\n",
+        "the key memo drops the stream from its key",
+        assert_streams_are_separate,
+    ),
 ]
 
 
@@ -281,7 +291,5 @@ def test_mutant_is_killed(module_name, old, new, reason, check):
 
 
 def test_checks_pass_on_the_package():
-    from sortplant import planners
-
-    for check in {row[4] for row in MUTANTS}:
-        check(planners)
+    for module_name, check in {(row[0], row[4]) for row in MUTANTS}:
+        check(importlib.import_module(f"sortplant.{module_name}"))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from sortplant.rng import Stream, derive_seed, mix64, noise_draw
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sortplant.rng import _MASK64, Stream, _stream_key, derive_seed, mix64, noise_draw
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -36,6 +39,51 @@ def test_streams_decorrelated():
         noise_draw(5, Stream.INPUT_SIZE, t, 0) == noise_draw(5, Stream.INPUT_MIX, t, 0) for t in range(1000)
     )
     assert same == 0
+
+
+def assert_streams_are_separate(module):
+    """Each stream of a seed keys its own draws, also when the seed's other
+    streams were keyed first (a memo hit)."""
+    for seed in (5, -3, 2**64 + 5, 10**30):
+        draws = [[module.noise_draw(seed, stream, t, 0) for t in range(8)] for stream in Stream]
+        assert len({tuple(row) for row in draws}) == len(Stream)
+        assert [module._stream_key(seed, stream) for stream in Stream] == [mix64(mix64(seed & _MASK64) ^ s) for s in Stream]
+
+
+def test_streams_are_separate():
+    from sortplant import rng
+
+    assert_streams_are_separate(rng)
+
+
+# seeds the key table must wrap to 64 bits: negative, zero, just past 2**64,
+# far past it, and any integer
+_KEY_SEEDS = st.one_of(
+    st.integers(max_value=-1),
+    st.just(0),
+    st.integers(0, 2**20).map(lambda k: 2**64 + k),
+    st.just(10**30),
+    st.integers(),
+)
+
+
+@settings(max_examples=200)
+@given(seed=_KEY_SEEDS)
+def test_memoized_stream_key_equals_the_two_rounds(seed):
+    for stream in Stream:
+        expected = mix64(mix64(seed & _MASK64) ^ int(stream))
+        # enum first, then the equal int (a hit on the enum's entry), and
+        # the other way round on a second seed of the same low 64 bits
+        assert _stream_key(seed, stream) == _stream_key(seed, int(stream)) == expected
+        assert _stream_key(seed + 2**64, int(stream)) == _stream_key(seed + 2**64, stream) == expected
+
+
+def test_the_key_table_is_bounded():
+    maxsize = _stream_key.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    for seed in range(2 * maxsize):
+        _stream_key(seed, Stream.JITTER)
+    assert _stream_key.cache_info().currsize <= maxsize
 
 
 def test_negative_step_uses_twos_complement():
